@@ -62,9 +62,9 @@ def collision_mask(starts: np.ndarray, durations: np.ndarray, emitters: np.ndarr
     ids = cluster_ids(starts, starts + np.asarray(durations, dtype=float))
     if ids.size == 0:
         return np.empty(0, dtype=bool)
-    first_index = np.unique(ids, return_index=True)[1]
-    foreign = emitters != emitters[first_index][ids]
-    mixed = np.bincount(ids, weights=foreign) > 0
+    # a cluster spans two emitters iff two neighbours inside it differ
+    mixed = np.zeros(int(ids[-1]) + 1, dtype=bool)
+    mixed[ids[1:][(emitters[1:] != emitters[:-1]) & (ids[1:] == ids[:-1])]] = True
     return mixed[ids]
 
 

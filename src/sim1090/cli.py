@@ -90,6 +90,11 @@ def _write_output(text: str, out: str | None) -> None:
     path.write_text(text, encoding="utf-8")
 
 
+def _csv_field(x: float | None) -> str:
+    """A number to 6 significant digits; an undefined one as an empty field."""
+    return "" if x is None else f"{x:.6g}"
+
+
 def _json_text(doc: dict) -> str:
     return json.dumps(doc, sort_keys=True, indent=2) + "\n"
 
@@ -113,8 +118,8 @@ def cmd_run(args) -> int:
             lines.append("# sim1090 replications v1")
             lines.append("rep,seed,received_ratio,update_probability")
             for k, row in enumerate(doc["replications"]):
-                up = "" if row["update_probability"] is None else f"{row['update_probability']:.6g}"
-                lines.append(f"{k},{row['seed']},{row['received_ratio']:.6g},{up}")
+                ratio, up = _csv_field(row["received_ratio"]), _csv_field(row["update_probability"])
+                lines.append(f"{k},{row['seed']},{ratio},{up}")
             text = "\n".join(lines) + "\n"
     _write_output(text, args.out)
     return 0
@@ -139,11 +144,15 @@ def cmd_sweep(args) -> int:
             seed = stable_seed(base.seed, value, rep)
             cfg = base.with_overrides(**{spec.param: value}, seed=seed)
             report = run(cfg)
-            up = "" if report.update is None else f"{report.update.probability:.6g}"
+            up = None if report.update is None else report.update.probability
             point_lines.append(
-                f"{spec.param},{value},{rep},{seed},{report.received_ratio:.6g},{up}"
+                f"{spec.param},{value},{rep},{seed},"
+                f"{_csv_field(report.received_ratio)},{_csv_field(up)}"
             )
             ratios.append(report.received_ratio)
+        if None in ratios:
+            summary_lines.append(f"{spec.param},{value},{spec.reps},,")
+            continue
         mean = sum(ratios) / len(ratios)
         std = (sum((r - mean) ** 2 for r in ratios) / len(ratios)) ** 0.5
         summary_lines.append(f"{spec.param},{value},{spec.reps},{mean:.6g},{std:.6g}")

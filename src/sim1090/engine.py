@@ -3,9 +3,15 @@ resolve receiver-side collisions and distil the run report.
 
 State only changes at packet boundaries and aircraft are quasi-static with
 no retransmission, so the engine batch-generates every timeline and resolves
-the merged, time-sorted schedule in one sweep. This is observationally
-equivalent to popping an incremental event queue and is the reference
-strategy; EventQueue is provided for streaming consumers.
+the merged schedule in start-time order in one sweep. This is
+observationally equivalent to popping an incremental event queue and is the
+reference strategy; EventQueue is provided for streaming consumers.
+
+Packets with equal start times are left in whatever order the sort gives
+them; no verdict depends on it. Overlap clusters do not depend on how tied
+starts are ordered, an exact tie between two emitters always collides, and
+the start times of one (emitter, kind) are strictly increasing, so each
+aircraft's POS outcomes stay in time order.
 
 A run is a pure function of its config (seed included): reports serialize
 to byte-identical JSON across repeated runs.
@@ -37,10 +43,11 @@ _N_VERDICTS = len(Verdict)
 
 
 class EventQueue:
-    """Min-heap of emission events with the total order (time, emitter, kind).
+    """Min-heap of emission events, popped in start-time order.
 
-    The tie-break makes simultaneous events pop in a documented, reproducible
-    order.
+    Heap entries are (time, emitter, kind) tuples, so simultaneous events pop
+    in a reproducible order. Resolution needs no such tie-break: as in the
+    batch engine, tied starts give the same verdicts in any order.
     """
 
     def __init__(self) -> None:
@@ -67,6 +74,10 @@ class EventQueue:
 def _fmt6(x: float) -> float:
     """Round to 6 significant digits for stable, diffable output."""
     return float(f"{x:.6g}")
+
+
+def _optional_fmt6(x: float | None) -> float | None:
+    return None if x is None else _fmt6(x)
 
 
 @dataclass(frozen=True, eq=False)
@@ -99,8 +110,9 @@ class RunReport:
         return int(self.counts[:, :, Verdict.RECEIVED].sum())
 
     @property
-    def received_ratio(self) -> float:
-        return self.received_total / self.generated_total
+    def received_ratio(self) -> float | None:
+        """Received share of generated packets; None when none were generated."""
+        return self.received_total / self.generated_total if self.generated_total else None
 
     def verdict_total(self, verdict: Verdict) -> int:
         return int(self.counts[:, :, verdict].sum())
@@ -172,17 +184,14 @@ class RunReport:
             },
             "generated": self.generated_total,
             "received": self.received_total,
-            "received_ratio": _fmt6(self.received_ratio) if self.generated_total else None,
+            "received_ratio": _optional_fmt6(self.received_ratio),
             "verdict_totals": {
                 "received": self.received_total,
                 "lost_collision": self.verdict_total(Verdict.LOST_COLLISION),
                 "lost_corrupted": self.verdict_total(Verdict.LOST_CORRUPTED),
                 "lost_below_sensitivity": self.verdict_total(Verdict.LOST_BELOW_SENSITIVITY),
             },
-            "per_class": {
-                str(cls): (None if self.class_ratio(cls) is None else _fmt6(self.class_ratio(cls)))
-                for cls in AirframeKind
-            },
+            "per_class": {str(cls): _optional_fmt6(self.class_ratio(cls)) for cls in AirframeKind},
             "per_aircraft": per_aircraft,
             "tracked_aircraft": cfg.tracked_aircraft,
             "pos_loss_runs": {str(k): v for k, v in sorted(self.pos_loss_runs.items())},
@@ -271,65 +280,69 @@ def run(config: ScenarioConfig) -> RunReport:
     link = LinkBudget.from_config(config)
     kinds = [k for k in KIND_ORDER if k in config.enabled_kinds]
     errors_on = config.channel_errors_enabled
+    n_aircraft, n_kinds = len(fleet), len(kinds)
 
-    starts, kind_codes, emitters, corrupted, gated = [], [], [], [], []
+    # one block of packets per (aircraft, kind), aircraft-major; a gated
+    # aircraft's packets never reach the receiver, so its blocks are tallied
+    # but left empty and take no part in ordering or collisions
+    starts, corrupted, generated = [], [], []
+    audible = np.ones(n_aircraft, dtype=bool)
     for a in fleet:
         t_rng = traffic_rng(config.seed, a.id)
-        c_rng = channel_rng(config.seed, a.id)
         if errors_on:
+            c_rng = channel_rng(config.seed, a.id)
             state = aircraft_link_state(a, link)
+            audible[a.id] = not state.below_sensitivity
         for kind in kinds:
             times = emission_times(kind, config.duration_s, t_rng)
-            n = times.size
+            generated.append(times.size)
+            if not audible[a.id]:
+                times = times[:0]
             starts.append(times)
-            kind_codes.append(np.full(n, KIND_INDEX[kind], dtype=np.int8))
-            emitters.append(np.full(n, a.id, dtype=np.int32))
             if errors_on:
                 p_bad = corruption_probability(state.pe_bit, kind, link.ber_mode)
-                corrupted.append(c_rng.uniform(0.0, 1.0, n) >= 1.0 - p_bad)
-                gated.append(np.full(n, state.below_sensitivity))
-            else:
-                corrupted.append(np.zeros(n, dtype=bool))
-                gated.append(np.zeros(n, dtype=bool))
+                corrupted.append(c_rng.uniform(0.0, 1.0, times.size) >= 1.0 - p_bad)
 
-    start = np.concatenate(starts) if starts else np.empty(0)
-    kind_code = np.concatenate(kind_codes) if kind_codes else np.empty(0, dtype=np.int8)
-    emitter = np.concatenate(emitters) if emitters else np.empty(0, dtype=np.int32)
-    is_bad = np.concatenate(corrupted) if corrupted else np.empty(0, dtype=bool)
-    is_gated = np.concatenate(gated) if gated else np.empty(0, dtype=bool)
-    duration = np.array([packet_duration_s(k) for k in KIND_ORDER])[kind_code]
+    sizes = np.array([times.size for times in starts], dtype=np.int64)
+    block = np.repeat(np.arange(sizes.size, dtype=np.int32), sizes)
+    start = np.concatenate(starts)
 
-    # documented total event order: (time, emitter, kind)
-    order = np.lexsort((kind_code, emitter, start))
-    start, kind_code, emitter = start[order], kind_code[order], emitter[order]
-    is_bad, is_gated, duration = is_bad[order], is_gated[order], duration[order]
+    # packets are resolved in start-time order; ties need no tie-break (see
+    # the module docstring)
+    order = np.argsort(start)
+    start, block = start[order], block[order]
+    kind_idx = np.array([KIND_INDEX[k] for k in kinds])
+    block_emitter = np.repeat(np.arange(n_aircraft, dtype=np.int32), n_kinds)
+    block_duration = np.tile([packet_duration_s(k) for k in kinds], n_aircraft)
+    emitter, duration = block_emitter[block], block_duration[block]
 
-    n_aircraft = len(fleet)
     generated_matrix = np.zeros((n_aircraft, _N_KINDS), dtype=np.int64)
-    np.add.at(generated_matrix, (emitter, kind_code), 1)
+    generated_matrix[:, kind_idx] = np.reshape(generated, (n_aircraft, n_kinds))
 
+    # the later write wins, so collision outranks corruption
     verdict = np.full(start.size, int(Verdict.RECEIVED), dtype=np.int8)
-    verdict[is_gated] = int(Verdict.LOST_BELOW_SENSITIVITY)
-    audible = ~is_gated
-    hit = collision_mask(start[audible], duration[audible], emitter[audible])
-    audible_idx = np.flatnonzero(audible)
-    verdict[audible_idx[hit]] = int(Verdict.LOST_COLLISION)
-    lone_corrupt = audible.copy()
-    lone_corrupt[audible_idx[hit]] = False
-    verdict[lone_corrupt & is_bad] = int(Verdict.LOST_CORRUPTED)
+    if errors_on:
+        verdict[np.concatenate(corrupted)[order]] = int(Verdict.LOST_CORRUPTED)
+    verdict[collision_mask(start, duration, emitter)] = int(Verdict.LOST_COLLISION)
 
-    flat = (emitter.astype(np.int64) * _N_KINDS + kind_code) * _N_VERDICTS + verdict
-    counts = np.bincount(flat, minlength=n_aircraft * _N_KINDS * _N_VERDICTS).reshape(
-        n_aircraft, _N_KINDS, _N_VERDICTS
-    )
+    counts = np.zeros((n_aircraft, _N_KINDS, _N_VERDICTS), dtype=np.int64)
+    counts[:, kind_idx] = np.bincount(
+        block * _N_VERDICTS + verdict, minlength=sizes.size * _N_VERDICTS
+    ).reshape(n_aircraft, n_kinds, _N_VERDICTS)
+    counts[~audible, :, Verdict.LOST_BELOW_SENSITIVITY] = generated_matrix[~audible]
 
     # conservation: the verdict partition must reproduce the generated tallies
-    if counts.sum() != start.size or not np.array_equal(counts.sum(axis=2), generated_matrix):
+    if counts.sum() != sum(generated) or not np.array_equal(counts.sum(axis=2), generated_matrix):
         raise AssertionError("outcome partition does not match generated packet counts")
 
     tracked = config.tracked_aircraft
-    pos_mask = (emitter == tracked) & (kind_code == KIND_INDEX[PacketKind.POS])
-    tracked_pos_lost = verdict[pos_mask] != int(Verdict.RECEIVED)
+    if PacketKind.POS not in kinds:
+        tracked_pos_lost = np.zeros(0, dtype=bool)
+    elif not audible[tracked]:
+        tracked_pos_lost = np.ones(generated_matrix[tracked, KIND_INDEX[PacketKind.POS]], dtype=bool)
+    else:
+        pos_block = tracked * n_kinds + kinds.index(PacketKind.POS)
+        tracked_pos_lost = verdict[block == pos_block] != int(Verdict.RECEIVED)
     pos_hist = metrics.loss_run_histogram(~tracked_pos_lost)
     lost_total = int(tracked_pos_lost.sum())
     if sum(length * count for length, count in pos_hist.items()) != lost_total:
@@ -363,7 +376,11 @@ class ReplicationResult:
 
 
 def summarize_reports(reports) -> dict[str, dict[str, float]]:
-    """Mean and population std of each metric; order-independent by fsum."""
+    """Mean and population std of each metric; order-independent by fsum.
+
+    A metric that is undefined in any report (no packets, no aircraft of a
+    class, too few tracked POS packets) is left out.
+    """
     reports = list(reports)
 
     def stats(values):
@@ -372,9 +389,13 @@ def summarize_reports(reports) -> dict[str, dict[str, float]]:
         var = math.fsum((v - mean) ** 2 for v in values) / n
         return {"mean": mean, "std": math.sqrt(var)}
 
-    summary = {"received_ratio": stats([r.received_ratio for r in reports])}
-    for cls, name in ((AirframeKind.PLANE, "plane_received_ratio"), (AirframeKind.UAV, "uav_received_ratio")):
-        values = [r.class_ratio(cls) for r in reports]
+    summary = {}
+    ratios = {
+        "received_ratio": [r.received_ratio for r in reports],
+        "plane_received_ratio": [r.class_ratio(AirframeKind.PLANE) for r in reports],
+        "uav_received_ratio": [r.class_ratio(AirframeKind.UAV) for r in reports],
+    }
+    for name, values in ratios.items():
         if all(v is not None for v in values):
             summary[name] = stats(values)
     updates = [r.update for r in reports]
@@ -407,7 +428,7 @@ def replicated_to_dict(config: ScenarioConfig, result: ReplicationResult) -> dic
         "replications": [
             {
                 "seed": r.seed,
-                "received_ratio": _fmt6(r.received_ratio),
+                "received_ratio": _optional_fmt6(r.received_ratio),
                 "update_probability": None if r.update is None else _fmt6(r.update.probability),
             }
             for r in result.reports

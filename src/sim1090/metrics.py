@@ -242,6 +242,8 @@ def calibrate_noise_floor(
     def mean_ratio(floor: float) -> float:
         cfg = base_config.with_overrides(noise_floor_dbm=floor, channel_errors_enabled=True)
         result = run_replicated(cfg, n_reps)
+        if "received_ratio" not in result.summary:
+            raise CalibrationError("the scenario generates no packets, so it has no received ratio")
         ratio = result.summary["received_ratio"]["mean"]
         evaluations.append((floor, ratio))
         for (f_a, r_a) in evaluations:

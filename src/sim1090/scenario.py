@@ -11,6 +11,7 @@ Every key except ``n_planes`` has a default. Example::
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, fields, replace
 from typing import Iterable
 
@@ -56,7 +57,11 @@ class ScenarioConfig:
 
     def problems(self) -> list[str]:
         """All invariant violations, empty when the config is valid."""
-        out = []
+        out = [
+            f"{f.name} must be finite, got {getattr(self, f.name)}"
+            for f in fields(self)
+            if f.name in _FLOAT_KEYS and not math.isfinite(getattr(self, f.name))
+        ]
         if self.n_planes < 0:
             out.append(f"n_planes must be >= 0, got {self.n_planes}")
         if self.n_uavs < 0:

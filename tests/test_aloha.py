@@ -1,7 +1,11 @@
 """Receiver-side collision resolution against a brute-force pairwise oracle."""
 
+import random
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from sim1090.aloha import (
     Verdict,
@@ -182,3 +186,57 @@ class TestResolveProperties:
         lines = text.strip().splitlines()
         assert lines[0].startswith("# sim1090 outcomes")
         assert lines[2].endswith("lost_collision")
+
+
+#: (start, duration, emitter) packets on an integer-microsecond grid. Times
+#: stay in microseconds: integers are exact in float64, so packets that meet
+#: at a boundary meet exactly, and a 400 us span makes exact start ties common.
+grid_packets = st.lists(
+    st.tuples(st.integers(0, 400), st.sampled_from([64, 120]), st.integers(0, 3)),
+    min_size=1,
+    max_size=40,
+)
+
+
+def grid_mask(packets, order):
+    """collision_mask over `packets` taken in `order`, mapped back to input order."""
+    hit = collision_mask(
+        np.array([float(packets[i][0]) for i in order]),
+        np.array([float(packets[i][1]) for i in order]),
+        np.array([packets[i][2] for i in order]),
+    )
+    out = [False] * len(packets)
+    for pos, i in enumerate(order):
+        out[i] = bool(hit[pos])
+    return out
+
+
+class TestCollisionMaskOnGrid:
+    @pytest.mark.parametrize(
+        "packets, expected",
+        [
+            ([(0, 120, 0), (0, 64, 1)], [True, True]),  # exact cross-emitter tie
+            ([(0, 120, 0), (120, 120, 0)], [False, False]),  # same emitter, back to back
+            ([(0, 120, 0), (60, 64, 0)], [False, False]),  # same emitter, overlapping
+            ([(0, 120, 0), (120, 64, 1)], [False, False]),  # meet exactly at a boundary
+            ([(10, 120, 2), (10, 64, 2), (130, 64, 3)], [False, False, False]),
+            ([(10, 120, 2), (10, 64, 2), (129, 64, 3)], [True, True, True]),
+        ],
+    )
+    def test_ties_and_boundaries(self, packets, expected):
+        order = sorted(range(len(packets)), key=lambda i: packets[i][0])
+        assert grid_mask(packets, order) == expected
+
+    @settings(max_examples=300, deadline=None)
+    @given(packets=grid_packets, rnd=st.randoms(use_true_random=False))
+    @example(packets=[(0, 120, 0), (0, 64, 1), (0, 120, 1)], rnd=random.Random(0))
+    @example(packets=[(0, 120, 0), (120, 64, 1), (184, 120, 0), (184, 64, 0)], rnd=random.Random(1))
+    def test_matches_oracle_for_any_order_of_tied_starts(self, packets, rnd):
+        tie_key = [rnd.random() for _ in packets]
+        by_index = grid_mask(packets, sorted(range(len(packets)), key=lambda i: (packets[i][0], i)))
+        shuffled = grid_mask(packets, sorted(range(len(packets)), key=lambda i: (packets[i][0], tie_key[i])))
+        oracle = brute_force_collisions(
+            [Transmission(e, PacketKind.POS, float(start), float(dur)) for start, dur, e in packets]
+        )
+        assert by_index == oracle
+        assert shuffled == by_index

@@ -11,6 +11,8 @@ from sim1090.seeding import stable_seed
 
 TINY = "n_planes = 4\nn_uavs = 2\nduration_s = 30\nseed = 3\n"
 TINY_NO_ERRORS = "n_planes = 4\nduration_s = 30\nchannel_errors_enabled = false\nseed = 3\n"
+# valid, but the horizon ends before the first ID squitter: zero packets
+NO_PACKETS = "n_planes = 4\nduration_s = 0.1\nenabled_kinds = ID\nseed = 3\n"
 
 
 @pytest.fixture
@@ -64,6 +66,18 @@ class TestRun:
         assert doc["n_reps"] == 3
         assert len(doc["replications"]) == 3
 
+    def test_zero_packet_replicated_run_writes_null_and_empty_fields(self, tmp_path, capsys):
+        path = tmp_path / "empty.scn"
+        path.write_text(NO_PACKETS)
+        assert main(["run", "--scenario", str(path), "--reps", "2"]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["summary"] == {}
+        assert [row["received_ratio"] for row in doc["replications"]] == [None, None]
+        assert main(["run", "--scenario", str(path), "--reps", "2", "--format", "csv"]) == 0
+        lines = capsys.readouterr().out.strip().splitlines()
+        assert lines[:3] == ["# sim1090 replicated-summary v1", "metric,mean,std", "# sim1090 replications v1"]
+        assert all(row.endswith(",,") for row in lines[4:]) and len(lines) == 6
+
     def test_output_dir_env(self, tiny_scn, tmp_path, monkeypatch):
         monkeypatch.setenv("SIM1090_OUTPUT_DIR", str(tmp_path / "outputs"))
         assert main(["run", "--scenario", str(tiny_scn), "--out", "report.json"]) == 0
@@ -100,6 +114,16 @@ class TestSweep:
         assert int(seed) == stable_seed(3, 6, 0)
         assert float(ratio) == pytest.approx(run(cfg).received_ratio, abs=5e-7)
 
+    def test_zero_packet_points_write_empty_fields(self, tmp_path, capsys):
+        path = tmp_path / "empty.scn"
+        path.write_text(NO_PACKETS)
+        assert main([
+            "sweep", "--scenario", str(path), "--param", "n_planes", "--values", "2,3", "--reps", "2",
+        ]) == 0
+        points, summary = capsys.readouterr().out.split("# sim1090 sweep-summary v1")
+        assert all(row.endswith(",,") for row in points.strip().splitlines()[2:])
+        assert summary.strip().splitlines()[1:] == ["n_planes,2,2,,", "n_planes,3,2,,"]
+
     def test_unknown_parameter_lists_valid_keys(self, tiny_scn, capsys):
         assert main([
             "sweep", "--scenario", str(tiny_scn), "--param", "warp_factor", "--values", "1",
@@ -124,6 +148,12 @@ class TestCalibrate:
             "calibrate", "--scenario", str(tiny_scn), "--target", "0.999", "--reps", "2",
         ]) != 0
         assert "calibration failed" in capsys.readouterr().err
+
+    def test_zero_packet_scenario_fails_cleanly(self, tmp_path, capsys):
+        path = tmp_path / "empty.scn"
+        path.write_text(NO_PACKETS)
+        assert main(["calibrate", "--scenario", str(path), "--target", "0.5", "--reps", "1"]) != 0
+        assert "generates no packets" in capsys.readouterr().err
 
     def test_feasible_target_converges(self, tmp_path, capsys):
         path = tmp_path / "cal.scn"

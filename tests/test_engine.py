@@ -1,12 +1,16 @@
-"""Engine tests: determinism, conservation, module-composition equivalence,
-replication summaries and the event queue."""
+"""Engine tests: determinism, pinned report bytes, conservation,
+module-composition equivalence, zero-packet runs, replication summaries and
+the event queue."""
+
+import hashlib
 
 import numpy as np
 import pytest
 
 from sim1090.aloha import Verdict, resolve
-from sim1090.channel import LinkBudget, classify_timeline
-from sim1090.engine import EventQueue, run, run_replicated, summarize_reports
+from sim1090.channel import LinkBudget, aircraft_link_state, classify_timeline
+from sim1090.cli import load_preset
+from sim1090.engine import EventQueue, replicated_to_dict, run, run_replicated, summarize_reports
 from sim1090.frames import AirframeKind
 from sim1090.metrics import aloha_expected_ratio
 from sim1090.packets import KIND_INDEX, PacketKind
@@ -61,33 +65,93 @@ class TestRunBasics:
         assert run(cfg).update.window_k == 12
 
 
+class TestPinnedReports:
+    """SHA-256 of whole preset reports at their preset seeds.
+
+    The hashes were taken before packets were ordered by start time alone
+    (they were sorted by start, emitter and kind). Equal hashes show the
+    ordering, assembly and collision code give the same report byte for
+    byte; a change that moves them must say which numbers moved and why.
+    """
+
+    PINNED = {
+        "fig4": "476d55ab33c68d1f1d341897b510d3bc04e8e27108a5f982af2684d2fab70895",
+        "fig3_200": "4869636dd1fd52ec994570f88e1b9fc6335ddf679baf2256c2c7e4b86326547a",
+        "fig7": "60ec05ec9fd95f801b344b13ad2a7b7d615805512e6b60ea542dc15f0b896b34",
+    }
+
+    @pytest.mark.parametrize("preset", sorted(PINNED))
+    def test_report_bytes_pinned(self, preset):
+        report = run(load_preset(f"{preset}.scn"))
+        assert hashlib.sha256(report.to_json_bytes()).hexdigest() == self.PINNED[preset]
+
+
+def assert_engine_matches_per_module_pipeline(cfg):
+    # batch engine == build fleet -> timelines -> channel -> sort -> resolve
+    report = run(cfg)
+
+    fleet = build_fleet(cfg)
+    link = LinkBudget.from_config(cfg)
+    merged = []
+    for a in fleet:
+        timeline = generate_timeline(a, cfg.enabled_kinds, cfg.duration_s, traffic_rng(cfg.seed, a.id))
+        merged.extend(classify_timeline(timeline, a, link, channel_rng(cfg.seed, a.id)))
+    merged.sort(key=lambda t: (t.start_s, t.emitter_id, KIND_INDEX[t.kind]))
+    audible = [t for t in merged if not t.below_sensitivity]
+    outcomes = resolve(audible)
+
+    counts = np.zeros_like(report.counts)
+    for oc in outcomes:
+        t = oc.transmission
+        counts[t.emitter_id, KIND_INDEX[t.kind], oc.verdict] += 1
+    for t in merged:
+        if t.below_sensitivity:
+            counts[t.emitter_id, KIND_INDEX[t.kind], Verdict.LOST_BELOW_SENSITIVITY] += 1
+    assert np.array_equal(counts, report.counts)
+
+    received = {id(oc.transmission) for oc in outcomes if oc.verdict == Verdict.RECEIVED}
+    tracked_pos_lost = [
+        id(t) not in received
+        for t in merged
+        if t.emitter_id == cfg.tracked_aircraft and t.kind == PacketKind.POS
+    ]
+    assert report.tracked_pos_lost.tolist() == tracked_pos_lost
+    return report
+
+
 class TestModuleCompositionEquivalence:
     def test_engine_matches_per_module_pipeline(self):
-        # batch engine == build fleet -> timelines -> channel -> sort -> resolve
         cfg = ScenarioConfig(
             n_planes=6, n_uavs=2, duration_s=40.0, seed=77,
             noise_floor_dbm=-80.0,  # loud enough that corruption actually occurs
         )
-        report = run(cfg)
+        assert_engine_matches_per_module_pipeline(cfg)
 
-        fleet = build_fleet(cfg)
+    def test_engine_matches_per_module_pipeline_with_gated_aircraft(self):
+        # planes beyond about 127 km fall below sensitivity; the UAVs do not
+        cfg = ScenarioConfig(
+            n_planes=6, n_uavs=2, duration_s=40.0, seed=77, plane_radius_km=400.0,
+            noise_floor_dbm=-80.0,
+        )
+        report = assert_engine_matches_per_module_pipeline(cfg)
+        assert 0 < report.verdict_total(Verdict.LOST_BELOW_SENSITIVITY) < report.generated_total
+
+    def test_gated_tracked_aircraft_loses_every_pos_packet(self):
+        cfg = ScenarioConfig(
+            n_planes=6, n_uavs=2, duration_s=40.0, seed=77, plane_radius_km=400.0,
+            noise_floor_dbm=-80.0,
+        )
         link = LinkBudget.from_config(cfg)
-        merged = []
-        for a in fleet:
-            timeline = generate_timeline(a, cfg.enabled_kinds, cfg.duration_s, traffic_rng(cfg.seed, a.id))
-            merged.extend(classify_timeline(timeline, a, link, channel_rng(cfg.seed, a.id)))
-        merged.sort(key=lambda t: (t.start_s, t.emitter_id, KIND_INDEX[t.kind]))
-        audible = [t for t in merged if not t.below_sensitivity]
-        outcomes = resolve(audible)
+        gated = [a.id for a in build_fleet(cfg) if aircraft_link_state(a, link).below_sensitivity]
+        report = assert_engine_matches_per_module_pipeline(cfg.with_overrides(tracked_aircraft=gated[0]))
+        assert report.tracked_pos_lost.size > 0 and report.tracked_pos_lost.all()
+        assert report.update is not None and report.update.probability == 0.0
 
-        counts = np.zeros_like(report.counts)
-        for oc in outcomes:
-            t = oc.transmission
-            counts[t.emitter_id, KIND_INDEX[t.kind], oc.verdict] += 1
-        for t in merged:
-            if t.below_sensitivity:
-                counts[t.emitter_id, KIND_INDEX[t.kind], Verdict.LOST_BELOW_SENSITIVITY] += 1
-        assert np.array_equal(counts, report.counts)
+    def test_every_aircraft_gated(self):
+        cfg = ScenarioConfig(n_planes=3, duration_s=5.0, seed=3, plane_radius_km=5000.0)
+        report = assert_engine_matches_per_module_pipeline(cfg)
+        assert report.generated_total > 0
+        assert report.verdict_total(Verdict.LOST_BELOW_SENSITIVITY) == report.generated_total
 
     def test_collision_only_scenario_matches_analytic_oracle(self):
         cfg = ScenarioConfig(
@@ -98,6 +162,39 @@ class TestModuleCompositionEquivalence:
         )
         report = run(cfg)
         assert report.received_ratio == pytest.approx(aloha_expected_ratio(cfg), abs=0.03)
+
+
+class TestZeroPackets:
+    """A valid config whose horizon ends before the first ID squitter."""
+
+    @pytest.mark.parametrize("errors_on", [False, True])
+    def test_run_and_replicated_give_all_zero_counts(self, errors_on):
+        cfg = load_preset("fig3_50.scn").with_overrides(
+            duration_s=0.1,
+            enabled_kinds=frozenset({PacketKind.ID}),
+            channel_errors_enabled=errors_on,
+        )
+        report = run(cfg)
+        assert report.counts.shape == (50, len(KIND_INDEX), len(Verdict))
+        assert not report.counts.any()
+        assert report.received_ratio is None
+        assert report.update is None and report.pos_loss_runs == {}
+        doc = report.to_dict()
+        assert doc["generated"] == 0 and doc["received_ratio"] is None
+        assert doc["per_class"] == {"plane": None, "uav": None}
+
+        result = run_replicated(cfg, 3)
+        assert all(not r.counts.any() for r in result.reports)
+        assert result.summary == {}
+        rows = replicated_to_dict(cfg, result)["replications"]
+        assert [row["received_ratio"] for row in rows] == [None, None, None]
+
+    def test_received_ratio_left_out_when_any_replication_is_empty(self):
+        base = ScenarioConfig(n_planes=2, duration_s=10.0, channel_errors_enabled=False)
+        empty = run(base.with_overrides(duration_s=0.1, enabled_kinds=frozenset({PacketKind.ID})))
+        summary = summarize_reports([run(base), empty])
+        assert "received_ratio" not in summary
+        assert "plane_received_ratio" not in summary
 
 
 class TestReplication:

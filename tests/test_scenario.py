@@ -1,5 +1,7 @@
 """Scenario parsing, validation and deterministic fleet generation."""
 
+import math
+
 import numpy as np
 import pytest
 from scipy import stats
@@ -12,6 +14,19 @@ from sim1090.scenario import (
     build_fleet,
     dumps_scenario,
     loads_scenario,
+)
+
+FLOAT_KEYS = (
+    "plane_radius_km",
+    "uav_radius_km",
+    "plane_power_dbm",
+    "uav_power_dbm",
+    "sensitivity_dbm",
+    "freq_mhz",
+    "bandwidth_hz",
+    "noise_floor_dbm",
+    "duration_s",
+    "deadline_s",
 )
 
 
@@ -92,6 +107,22 @@ class TestValidation:
             ScenarioConfig(n_planes=-1, n_uavs=0, duration_s=0).validate()
         text = str(err.value)
         assert "n_planes" in text and "duration_s" in text
+
+    @pytest.mark.parametrize("key", FLOAT_KEYS)
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_float_rejected(self, key, bad):
+        with pytest.raises(ValidationError) as err:
+            ScenarioConfig(n_planes=1, **{key: bad}).validate()
+        assert f"{key} must be finite, got {bad}" in err.value.problems
+
+    def test_every_non_finite_key_listed(self):
+        problems = ScenarioConfig(n_planes=1, **{key: math.nan for key in FLOAT_KEYS}).problems()
+        for key in FLOAT_KEYS:
+            assert f"{key} must be finite, got nan" in problems
+
+    def test_non_finite_value_in_scenario_text_rejected(self):
+        with pytest.raises(ValidationError, match="noise_floor_dbm must be finite"):
+            loads_scenario("n_planes = 2\nnoise_floor_dbm = nan\n")
 
 
 class TestBuildFleet:
