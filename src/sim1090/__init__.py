@@ -7,7 +7,7 @@ resulting surveillance quality (received ratio, consecutive-loss runs,
 position-update probability).
 """
 
-from .aloha import ReceptionOutcome, Verdict, overlap_clusters, resolve
+from .aloha import Verdict
 from .channel import (
     LinkBudget,
     ber_mpsk_approx,
@@ -18,7 +18,7 @@ from .channel import (
     received_power_dbm,
     snr_linear,
 )
-from .engine import EventQueue, ReplicationResult, RunReport, run, run_replicated
+from .engine import ReplicationResult, RunReport, run, run_replicated
 from .frames import AirframeKind, SquitterFrame, from_hex, identity_frame, pack, to_hex, unpack
 from .metrics import (
     CalibrationError,
@@ -28,7 +28,6 @@ from .metrics import (
     calibrate_noise_floor,
     distance_binned_ratio,
     loss_run_histogram,
-    received_ratio,
     update_probability,
 )
 from .packets import EmissionSchedule, PacketKind, SCHEDULES, on_air_bits, packet_duration_s
@@ -40,7 +39,6 @@ from .scenario import (
     load_scenario,
     loads_scenario,
 )
-from .traffic import Transmission, generate_timeline, next_emission
 
 __version__ = "0.1.0"
 
@@ -50,16 +48,13 @@ __all__ = [
     "CalibrationError",
     "CalibrationResult",
     "EmissionSchedule",
-    "EventQueue",
     "LinkBudget",
     "PacketKind",
-    "ReceptionOutcome",
     "ReplicationResult",
     "RunReport",
     "SCHEDULES",
     "ScenarioConfig",
     "SquitterFrame",
-    "Transmission",
     "UpdateProbabilityResult",
     "ValidationError",
     "Verdict",
@@ -71,21 +66,16 @@ __all__ = [
     "corruption_probability",
     "distance_binned_ratio",
     "from_hex",
-    "generate_timeline",
     "identity_frame",
     "load_scenario",
     "loads_scenario",
     "loss_run_histogram",
-    "next_emission",
     "on_air_bits",
-    "overlap_clusters",
     "pack",
     "packet_duration_s",
     "passes_sensitivity",
     "path_loss_db",
     "received_power_dbm",
-    "received_ratio",
-    "resolve",
     "run",
     "run_replicated",
     "snr_linear",

@@ -13,11 +13,8 @@ packet lands in exactly one loss bucket.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
 
 import numpy as np
-
-from .traffic import Transmission
 
 
 class Verdict(enum.IntEnum):
@@ -28,12 +25,6 @@ class Verdict(enum.IntEnum):
 
     def __str__(self) -> str:
         return self.name.lower()
-
-
-@dataclass(frozen=True)
-class ReceptionOutcome:
-    transmission: Transmission
-    verdict: Verdict
 
 
 def cluster_ids(starts: np.ndarray, ends: np.ndarray) -> np.ndarray:
@@ -67,51 +58,3 @@ def collision_mask(starts: np.ndarray, durations: np.ndarray, emitters: np.ndarr
     mixed[ids[1:][(emitters[1:] != emitters[:-1]) & (ids[1:] == ids[:-1])]] = True
     return mixed[ids]
 
-
-def overlap_clusters(transmissions: list[Transmission]) -> list[list[Transmission]]:
-    """Partition a start-sorted timeline into maximal overlap chains."""
-    ids = cluster_ids(
-        np.array([tx.start_s for tx in transmissions]),
-        np.array([tx.end_s for tx in transmissions]),
-    )
-    clusters: list[list[Transmission]] = [[] for _ in range(int(ids[-1]) + 1)] if len(transmissions) else []
-    for tx, cid in zip(transmissions, ids):
-        clusters[int(cid)].append(tx)
-    return clusters
-
-
-def resolve(transmissions: list[Transmission]) -> list[ReceptionOutcome]:
-    """Assign one verdict per transmission.
-
-    Input must be start-sorted and free of below-sensitivity packets (those
-    never reach the receiver and cannot collide). Every member of a
-    multi-emitter cluster is a collision loss, corrupted or not; outside
-    collisions a corrupted packet is a corruption loss and an intact packet
-    is received.
-    """
-    if any(tx.below_sensitivity for tx in transmissions):
-        raise ValueError("below-sensitivity packets must be excluded before resolve()")
-    collided = collision_mask(
-        np.array([tx.start_s for tx in transmissions]),
-        np.array([tx.duration_s for tx in transmissions]),
-        np.array([tx.emitter_id for tx in transmissions]),
-    )
-    out = []
-    for tx, hit in zip(transmissions, collided):
-        if hit:
-            verdict = Verdict.LOST_COLLISION
-        elif tx.corrupted:
-            verdict = Verdict.LOST_CORRUPTED
-        else:
-            verdict = Verdict.RECEIVED
-        out.append(ReceptionOutcome(tx, verdict))
-    return out
-
-
-def outcomes_to_csv(outcomes: list[ReceptionOutcome]) -> str:
-    """Debug CSV rendering of resolved outcomes."""
-    lines = ["# sim1090 outcomes v1", "emitter_id,kind,start_s,verdict"]
-    for oc in outcomes:
-        tx = oc.transmission
-        lines.append(f"{tx.emitter_id},{tx.kind},{tx.start_s:.9g},{oc.verdict}")
-    return "\n".join(lines) + "\n"

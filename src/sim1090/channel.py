@@ -20,7 +20,6 @@ from scipy.special import erfc, ndtr
 
 from .packets import PacketKind, on_air_bits
 from .scenario import BER_MODES, Aircraft, ScenarioConfig
-from .traffic import Transmission
 
 
 class QuadratureError(RuntimeError):
@@ -171,66 +170,3 @@ def aircraft_link_state(aircraft: Aircraft, link: LinkBudget) -> LinkState:
     pe = bit_error_rate(float(r), link)
     return LinkState(rx_power_dbm=float(s), below_sensitivity=gated, pe_bit=pe)
 
-
-def classify_transmission(
-    tx: Transmission,
-    aircraft: Aircraft,
-    link: LinkBudget,
-    rng: np.random.Generator,
-) -> Transmission:
-    """Annotate one transmission with received power, gate and corruption.
-
-    Draws one uniform i from the aircraft's channel stream; the packet is
-    bad iff i >= 1 - P_corrupt. Corrupted packets still occupy air time.
-    """
-    state = aircraft_link_state(aircraft, link)
-    p_bad = corruption_probability(state.pe_bit, tx.kind, link.ber_mode)
-    i = float(rng.uniform())
-    return Transmission(
-        emitter_id=tx.emitter_id,
-        kind=tx.kind,
-        start_s=tx.start_s,
-        duration_s=tx.duration_s,
-        rx_power_dbm=state.rx_power_dbm,
-        corrupted=i >= 1.0 - p_bad,
-        below_sensitivity=state.below_sensitivity,
-    )
-
-
-def classify_timeline(
-    transmissions: list[Transmission],
-    aircraft: Aircraft,
-    link: LinkBudget,
-    rng: np.random.Generator,
-    channel_errors_enabled: bool = True,
-) -> list[Transmission]:
-    """Annotate a whole timeline of one aircraft.
-
-    Uniform draws are consumed per kind in declaration order (one per
-    packet), matching the engine's stream discipline. With channel errors
-    disabled nothing is drawn, nothing is corrupted and the gate passes.
-    """
-    from dataclasses import replace as _replace
-
-    from .packets import KIND_ORDER
-
-    if not channel_errors_enabled:
-        return [_replace(tx, rx_power_dbm=None, corrupted=False, below_sensitivity=False)
-                for tx in transmissions]
-    state = aircraft_link_state(aircraft, link)
-    annotated: dict[int, Transmission] = {}
-    for kind in KIND_ORDER:
-        idx = [i for i, tx in enumerate(transmissions) if tx.kind is kind]
-        if not idx:
-            continue
-        p_bad = corruption_probability(state.pe_bit, kind, link.ber_mode)
-        draws = rng.uniform(0.0, 1.0, len(idx))
-        for j, i_tx in enumerate(idx):
-            tx = transmissions[i_tx]
-            annotated[i_tx] = _replace(
-                tx,
-                rx_power_dbm=state.rx_power_dbm,
-                corrupted=bool(draws[j] >= 1.0 - p_bad),
-                below_sensitivity=state.below_sensitivity,
-            )
-    return [annotated[i] for i in range(len(transmissions))]

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
 
-from .engine import replicated_to_dict, run, run_replicated
+from .engine import _csv_field, _fmt6, mean_std, replicated_to_dict, run, run_replicated
 from .metrics import CalibrationError, calibrate_noise_floor
 from .scenario import ScenarioConfig, ValidationError, load_scenario
 from .seeding import stable_seed
@@ -90,11 +90,6 @@ def _write_output(text: str, out: str | None) -> None:
     path.write_text(text, encoding="utf-8")
 
 
-def _csv_field(x: float | None) -> str:
-    """A number to 6 significant digits; an undefined one as an empty field."""
-    return "" if x is None else f"{x:.6g}"
-
-
 def _json_text(doc: dict) -> str:
     return json.dumps(doc, sort_keys=True, indent=2) + "\n"
 
@@ -153,9 +148,8 @@ def cmd_sweep(args) -> int:
         if None in ratios:
             summary_lines.append(f"{spec.param},{value},{spec.reps},,")
             continue
-        mean = sum(ratios) / len(ratios)
-        std = (sum((r - mean) ** 2 for r in ratios) / len(ratios)) ** 0.5
-        summary_lines.append(f"{spec.param},{value},{spec.reps},{mean:.6g},{std:.6g}")
+        s = mean_std(ratios)
+        summary_lines.append(f"{spec.param},{value},{spec.reps},{s['mean']:.6g},{s['std']:.6g}")
 
     lines = ["# sim1090 sweep-points v1", "param,value,rep,seed,received_ratio,update_probability"]
     lines += point_lines
@@ -172,8 +166,8 @@ def cmd_calibrate(args) -> int:
     result = calibrate_noise_floor(args.target, base, n_reps=args.reps)
     doc = {
         "schema": "sim1090/calibration/v1",
-        "noise_floor_dbm": float(f"{result.noise_floor_dbm:.6g}"),
-        "achieved_ratio": float(f"{result.achieved_ratio:.6g}"),
+        "noise_floor_dbm": _fmt6(result.noise_floor_dbm),
+        "achieved_ratio": _fmt6(result.achieved_ratio),
         "target_ratio": result.target_ratio,
         "n_reps": result.n_reps,
         "iterations": result.iterations,
@@ -244,7 +238,7 @@ def main(argv: list[str] | None = None) -> int:
         return args.func(args)
     except FileNotFoundError as exc:
         return _fail(str(exc))
-    except ValidationError as exc:
+    except ValueError as exc:  # ValidationError included
         return _fail(str(exc))
     except CalibrationError as exc:
         return _fail(f"calibration failed: {exc}")

@@ -4,8 +4,7 @@ resolve receiver-side collisions and distil the run report.
 State only changes at packet boundaries and aircraft are quasi-static with
 no retransmission, so the engine batch-generates every timeline and resolves
 the merged schedule in start-time order in one sweep. This is
-observationally equivalent to popping an incremental event queue and is the
-reference strategy; EventQueue is provided for streaming consumers.
+observationally equivalent to popping an incremental event queue.
 
 Packets with equal start times are left in whatever order the sort gives
 them; no verdict depends on it. Overlap clusters do not depend on how tied
@@ -19,7 +18,6 @@ to byte-identical JSON across repeated runs.
 
 from __future__ import annotations
 
-import heapq
 import json
 import math
 from dataclasses import dataclass, field
@@ -42,35 +40,6 @@ _N_KINDS = len(KIND_ORDER)
 _N_VERDICTS = len(Verdict)
 
 
-class EventQueue:
-    """Min-heap of emission events, popped in start-time order.
-
-    Heap entries are (time, emitter, kind) tuples, so simultaneous events pop
-    in a reproducible order. Resolution needs no such tie-break: as in the
-    batch engine, tied starts give the same verdicts in any order.
-    """
-
-    def __init__(self) -> None:
-        self._heap: list[tuple[float, int, int]] = []
-        self._last: float = -math.inf
-
-    def __len__(self) -> int:
-        return len(self._heap)
-
-    def push(self, start_s: float, emitter_id: int, kind: PacketKind) -> None:
-        heapq.heappush(self._heap, (start_s, emitter_id, KIND_INDEX[kind]))
-
-    def peek_time(self) -> float:
-        return self._heap[0][0]
-
-    def pop(self) -> tuple[float, int, PacketKind]:
-        start_s, emitter_id, kind_idx = heapq.heappop(self._heap)
-        if start_s < self._last:
-            raise AssertionError("event queue popped out of time order")
-        self._last = start_s
-        return start_s, emitter_id, KIND_ORDER[kind_idx]
-
-
 def _fmt6(x: float) -> float:
     """Round to 6 significant digits for stable, diffable output."""
     return float(f"{x:.6g}")
@@ -78,6 +47,19 @@ def _fmt6(x: float) -> float:
 
 def _optional_fmt6(x: float | None) -> float | None:
     return None if x is None else _fmt6(x)
+
+
+def _csv_field(x: float | None) -> str:
+    """A number to 6 significant digits; an undefined one as an empty field."""
+    return "" if x is None else f"{x:.6g}"
+
+
+def mean_std(values) -> dict[str, float]:
+    """Mean and population std of a sequence; order-independent by fsum."""
+    n = len(values)
+    mean = math.fsum(values) / n
+    var = math.fsum((v - mean) ** 2 for v in values) / n
+    return {"mean": mean, "std": math.sqrt(var)}
 
 
 @dataclass(frozen=True, eq=False)
@@ -230,12 +212,11 @@ class RunReport:
         lines.append(f"seed,{doc['seed']}")
         lines.append(f"generated,{doc['generated']}")
         lines.append(f"received,{doc['received']}")
-        ratio = doc["received_ratio"]
-        lines.append(f"received_ratio,{'' if ratio is None else f'{ratio:.6g}'}")
+        lines.append(f"received_ratio,{_csv_field(doc['received_ratio'])}")
         for name, count in doc["verdict_totals"].items():
             lines.append(f"{name},{count}")
         for cls, ratio in doc["per_class"].items():
-            lines.append(f"{cls}_received_ratio,{'' if ratio is None else f'{ratio:.6g}'}")
+            lines.append(f"{cls}_received_ratio,{_csv_field(ratio)}")
         if self.update is not None:
             lines.append(f"update_probability,{self.update.probability:.6g}")
             lines.append(f"update_window_k,{self.update.window_k}")
@@ -376,19 +357,12 @@ class ReplicationResult:
 
 
 def summarize_reports(reports) -> dict[str, dict[str, float]]:
-    """Mean and population std of each metric; order-independent by fsum.
+    """Mean and population std of each metric (see mean_std).
 
     A metric that is undefined in any report (no packets, no aircraft of a
     class, too few tracked POS packets) is left out.
     """
     reports = list(reports)
-
-    def stats(values):
-        n = len(values)
-        mean = math.fsum(values) / n
-        var = math.fsum((v - mean) ** 2 for v in values) / n
-        return {"mean": mean, "std": math.sqrt(var)}
-
     summary = {}
     ratios = {
         "received_ratio": [r.received_ratio for r in reports],
@@ -397,10 +371,10 @@ def summarize_reports(reports) -> dict[str, dict[str, float]]:
     }
     for name, values in ratios.items():
         if all(v is not None for v in values):
-            summary[name] = stats(values)
+            summary[name] = mean_std(values)
     updates = [r.update for r in reports]
     if all(u is not None for u in updates):
-        summary["update_probability"] = stats([u.probability for u in updates])
+        summary["update_probability"] = mean_std([u.probability for u in updates])
     return summary
 
 

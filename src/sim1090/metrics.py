@@ -1,6 +1,8 @@
-"""Reception statistics: received ratio, consecutive-loss histogram,
-position-update probability, distance-binned ratios, the analytic ALOHA
-throughput prediction, and the noise-floor calibration search.
+"""Reception statistics: consecutive-loss histogram, position-update
+probability, distance-binned ratios, the analytic ALOHA throughput
+prediction, and the noise-floor calibration search.
+
+Per-packet outcomes are boolean received flags (True = received).
 """
 
 from __future__ import annotations
@@ -13,7 +15,6 @@ import numpy as np
 from .frames import AirframeKind
 from .packets import SCHEDULES, PacketKind, packet_duration_s
 from .scenario import Aircraft, ScenarioConfig
-from .aloha import ReceptionOutcome, Verdict
 
 
 class InsufficientDataError(ValueError):
@@ -24,40 +25,13 @@ class CalibrationError(RuntimeError):
     """Raised when the noise-floor search cannot reach its target."""
 
 
-def _received_flags(outcomes) -> np.ndarray:
-    """Normalise outcome sequences to a boolean received-flag array.
-
-    Accepts ReceptionOutcome objects, Verdict values (or their integer
-    codes, 0 = received), or plain booleans meaning "received".
-    """
-    flags = []
-    for item in outcomes:
-        if isinstance(item, ReceptionOutcome):
-            flags.append(item.verdict is Verdict.RECEIVED)
-        elif isinstance(item, (bool, np.bool_)):
-            flags.append(bool(item))
-        elif isinstance(item, (Verdict, int, np.integer)):
-            flags.append(int(item) == int(Verdict.RECEIVED))
-        else:
-            raise TypeError(f"cannot interpret outcome {item!r}")
-    return np.asarray(flags, dtype=bool)
-
-
-def received_ratio(outcomes) -> float:
-    """Fraction of packets received, as an exact ratio of counts."""
-    flags = _received_flags(outcomes)
-    if flags.size == 0:
-        raise InsufficientDataError("received ratio is undefined for an empty outcome set")
-    return int(flags.sum()) / flags.size
-
-
 def loss_run_histogram(outcomes) -> dict[int, int]:
     """Histogram of maximal runs of consecutive losses, by run length.
 
-    Input must be the time-ordered position-packet outcomes of one aircraft;
-    leading and trailing runs count.
+    Input must be the time-ordered received flags of one aircraft's position
+    packets; leading and trailing runs count.
     """
-    lost = ~_received_flags(outcomes)
+    lost = ~np.asarray(outcomes, dtype=bool)
     hist: dict[int, int] = {}
     run = 0
     for flag in lost:
@@ -95,7 +69,7 @@ def update_probability(
     """
     if deadline_s <= 0:
         raise ValueError(f"deadline_s must be > 0, got {deadline_s}")
-    lost = ~_received_flags(outcomes)
+    lost = ~np.asarray(outcomes, dtype=bool)
     k = math.ceil(deadline_s / nominal_interval_s)
     n = lost.size
     if n < k:

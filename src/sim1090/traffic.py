@@ -3,87 +3,27 @@
 Each enabled packet kind recurs with a gap drawn uniformly from its shaking
 interval; the first emission phase is itself one such gap past t=0, so a
 fleet is unsynchronised from the start. Timelines are a pure function of
-the per-aircraft traffic stream.
+the per-aircraft traffic stream: the engine draws each aircraft's kinds
+from that stream in KIND_ORDER.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .packets import KIND_INDEX, KIND_ORDER, EmissionSchedule, PacketKind, SCHEDULES, packet_duration_s
-from .scenario import Aircraft
+from .packets import PacketKind, SCHEDULES
 
 
-@dataclass(frozen=True)
-class Transmission:
-    """One on-air packet. Channel annotations default to "not classified yet"."""
-
-    emitter_id: int
-    kind: PacketKind
-    start_s: float
-    duration_s: float
-    rx_power_dbm: float | None = None
-    corrupted: bool = False
-    below_sensitivity: bool = False
-
-    @property
-    def end_s(self) -> float:
-        return self.start_s + self.duration_s
-
-
-def _schedule_of(kind: PacketKind | EmissionSchedule) -> EmissionSchedule:
-    return kind if isinstance(kind, EmissionSchedule) else SCHEDULES[kind]
-
-
-def next_emission(kind: PacketKind | EmissionSchedule, t_now: float, rng: np.random.Generator) -> float:
-    """Time of the next emission after t_now: t_now plus one jittered gap."""
-    if t_now < 0:
-        raise ValueError(f"t_now must be >= 0, got {t_now}")
-    sched = _schedule_of(kind)
-    return t_now + float(rng.uniform(sched.jitter_lo_s, sched.jitter_hi_s))
-
-def emission_times(kind: PacketKind | EmissionSchedule, horizon_s: float, rng: np.random.Generator) -> np.ndarray:
+def emission_times(kind: PacketKind, horizon_s: float, rng: np.random.Generator) -> np.ndarray:
     """All emission start times of one kind in [0, horizon_s), ascending.
 
-    Equivalent to iterating next_emission from t=0, but drawn as one block
-    from the stream (the draw count depends only on kind and horizon).
+    The jittered gaps are drawn as one block from the stream; the draw count
+    depends only on kind and horizon.
     """
     if horizon_s <= 0:
         raise ValueError(f"horizon_s must be > 0, got {horizon_s}")
-    sched = _schedule_of(kind)
+    sched = SCHEDULES[kind]
     # gaps >= jitter_lo_s, so this many draws always reach the horizon
     n = int(horizon_s / sched.jitter_lo_s) + 2
     times = np.cumsum(rng.uniform(sched.jitter_lo_s, sched.jitter_hi_s, n))
     return times[times < horizon_s]
-
-
-def generate_timeline(
-    aircraft: Aircraft,
-    enabled_kinds: frozenset[PacketKind],
-    horizon_s: float,
-    rng: np.random.Generator,
-) -> list[Transmission]:
-    """Emission timeline of one aircraft, sorted by start time.
-
-    Kinds are drawn from the stream in fixed declaration order so the result
-    is deterministic per (aircraft, stream). Corruption flags are not set.
-    """
-    out: list[Transmission] = []
-    for kind in KIND_ORDER:
-        if kind not in enabled_kinds:
-            continue
-        dur = packet_duration_s(kind)
-        for t in emission_times(kind, horizon_s, rng):
-            out.append(Transmission(aircraft.id, kind, float(t), dur))
-    out.sort(key=lambda tx: (tx.start_s, KIND_INDEX[tx.kind]))
-    return out
-
-
-def timeline_to_csv(transmissions: list[Transmission]) -> str:
-    """Debug CSV rendering of a timeline."""
-    lines = ["# sim1090 timeline v1", "emitter_id,kind,start_s,duration_s"]
-    for tx in transmissions:
-        lines.append(f"{tx.emitter_id},{tx.kind},{tx.start_s:.9g},{tx.duration_s:.9g}")
-    return "\n".join(lines) + "\n"

@@ -21,7 +21,7 @@ import numpy as np
 import pytest
 from scipy.stats import spearmanr
 
-from sim1090.aloha import Verdict, resolve
+from sim1090.aloha import Verdict, collision_mask
 from sim1090.channel import (
     LinkBudget,
     aircraft_link_state,
@@ -34,7 +34,6 @@ from sim1090.engine import run, run_replicated
 from sim1090.frames import AirframeKind, SquitterFrame, pack, unpack
 from sim1090.metrics import aloha_expected_ratio, failed_windows_from_runs
 from sim1090.packets import KIND_INDEX, PacketKind
-from sim1090.traffic import Transmission
 
 TARGET_FIG5 = 0.4866
 N_REPS = 10
@@ -270,24 +269,18 @@ def test_criterion_6_resolve_equals_brute_force():
         durations = np.where(rng.random(n) < 0.5, 120e-6, 64e-6)
         emitters = rng.integers(0, 12, n)
         corrupted = rng.random(n) < 0.15
-        packets = [
-            Transmission(
-                emitter_id=int(emitters[i]),
-                kind=PacketKind.POS if durations[i] > 100e-6 else PacketKind.SMAG,
-                start_s=float(starts[i]),
-                duration_s=float(durations[i]),
-                corrupted=bool(corrupted[i]),
-            )
-            for i in range(n)
-        ]
-        verdicts = np.array([o.verdict for o in resolve(packets)])
+        # collision outranks corruption, as in the engine
+        verdicts = np.where(
+            collision_mask(starts, durations, emitters), int(Verdict.LOST_COLLISION),
+            np.where(corrupted, int(Verdict.LOST_CORRUPTED), int(Verdict.RECEIVED)),
+        )
         killed = _brute_force_collision_flags(starts, starts + durations, emitters)
         expected = np.where(
             killed, int(Verdict.LOST_COLLISION),
             np.where(corrupted, int(Verdict.LOST_CORRUPTED), int(Verdict.RECEIVED)),
         )
         mismatches += int(np.count_nonzero(verdicts != expected))
-    report_line("criterion 6 (resolve vs brute force)", mismatches == 0,
+    report_line("criterion 6 (collision_mask vs brute force)", mismatches == 0,
                 f"200 instances, mismatches={mismatches}")
     assert mismatches == 0
 

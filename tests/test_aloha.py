@@ -1,4 +1,5 @@
-"""Receiver-side collision resolution against a brute-force pairwise oracle."""
+"""Receiver-side collision resolution against a brute-force pairwise oracle,
+and the verdict rule of the engine: corruption never changes a collision."""
 
 import random
 
@@ -7,36 +8,22 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from sim1090.aloha import (
-    Verdict,
-    cluster_ids,
-    collision_mask,
-    outcomes_to_csv,
-    overlap_clusters,
-    resolve,
-)
-from sim1090.packets import PacketKind
-from sim1090.traffic import Transmission
+from sim1090.aloha import Verdict, cluster_ids, collision_mask
+from sim1090.engine import run
+from sim1090.scenario import ScenarioConfig
 
 US = 1e-6
 
 
-def tx(start_us, dur_us=120, corrupted=False, emitter=0, kind=PacketKind.POS, gated=False):
-    return Transmission(
-        emitter_id=emitter,
-        kind=kind,
-        start_s=start_us * US,
-        duration_s=dur_us * US,
-        corrupted=corrupted,
-        below_sensitivity=gated,
-    )
+def mask_of(packets):
+    """collision_mask over start-sorted (start_us, duration_us, emitter) packets."""
+    arr = np.array(packets, dtype=float).reshape(-1, 3)
+    return collision_mask(arr[:, 0] * US, arr[:, 1] * US, arr[:, 2].astype(np.int64)).tolist()
 
 
-def brute_force_components(transmissions):
+def brute_force_components(starts, ends):
     """O(n^2) oracle: connected components of the pairwise-overlap graph."""
-    n = len(transmissions)
-    starts = [t.start_s for t in transmissions]
-    ends = [t.start_s + t.duration_s for t in transmissions]
+    n = len(starts)
     adjacency = [[] for _ in range(n)]
     for i in range(n):
         for j in range(i + 1, n):
@@ -60,132 +47,120 @@ def brute_force_components(transmissions):
     return comp
 
 
-def brute_force_collisions(transmissions):
+def brute_force_collisions(starts, ends, emitters):
     """A packet dies iff its overlap component spans two or more emitters."""
-    comp = brute_force_components(transmissions)
+    comp = brute_force_components(starts, ends)
     emitters_by_comp = {}
-    for t, c in zip(transmissions, comp):
-        emitters_by_comp.setdefault(c, set()).add(t.emitter_id)
+    for e, c in zip(emitters, comp):
+        emitters_by_comp.setdefault(c, set()).add(e)
     return [len(emitters_by_comp[c]) >= 2 for c in comp]
 
 
 def random_instance(rng, n, span_s, n_emitters=8):
+    """Start-sorted (starts, durations, emitters, corrupted) arrays of POS- and SMAG-length packets."""
     starts = np.sort(rng.uniform(0.0, span_s, n))
-    kinds = rng.choice([PacketKind.POS, PacketKind.SMAG], n)
-    return [
-        tx(
-            starts[i] / US,
-            120 if kinds[i] is PacketKind.POS else 64,
-            kind=kinds[i],
-            corrupted=bool(rng.random() < 0.2),
-            emitter=int(rng.integers(0, n_emitters)),
-        )
-        for i in range(n)
-    ]
+    durations = np.where(rng.random(n) < 0.5, 120 * US, 64 * US)
+    emitters = rng.integers(0, n_emitters, n)
+    corrupted = rng.random(n) < 0.2
+    return starts, durations, emitters, corrupted
+
+
+#: twelve planes within 50 km stay above sensitivity, and a -80 dBm floor
+#: corrupts many of their packets
+LOUD = ScenarioConfig(n_planes=12, duration_s=30.0, seed=9, noise_floor_dbm=-80.0)
 
 
 class TestResolveExamples:
     def test_direct_overlap_kills_both(self):
-        outcomes = resolve([tx(0, emitter=1), tx(60, emitter=2)])
-        assert [o.verdict for o in outcomes] == [Verdict.LOST_COLLISION] * 2
+        assert mask_of([(0, 120, 1), (60, 120, 2)]) == [True, True]
 
     def test_half_open_touch_is_not_overlap(self):
-        outcomes = resolve([tx(0, emitter=1), tx(120, emitter=2)])
-        assert [o.verdict for o in outcomes] == [Verdict.RECEIVED] * 2
+        assert mask_of([(0, 120, 1), (120, 120, 2)]) == [False, False]
 
     def test_corrupted_packet_still_jams(self):
-        # the corrupted packet destroys the intact one; both count as collision
-        outcomes = resolve([tx(0, corrupted=True, emitter=1), tx(100, emitter=2)])
-        assert [o.verdict for o in outcomes] == [Verdict.LOST_COLLISION] * 2
+        # corrupted packets still occupy the air, and a collided packet is a
+        # collision loss whether or not it was corrupted, so the same seed
+        # gives the same collision losses with channel errors on and off
+        on, off = run(LOUD), run(LOUD.with_overrides(channel_errors_enabled=False))
+        assert on.verdict_total(Verdict.LOST_CORRUPTED) > 0
+        assert on.verdict_total(Verdict.LOST_BELOW_SENSITIVITY) == 0
+        collided = on.counts[:, :, Verdict.LOST_COLLISION]
+        assert collided.sum() > 0
+        assert np.array_equal(collided, off.counts[:, :, Verdict.LOST_COLLISION])
 
     def test_lone_corrupted_is_corruption_loss(self):
-        outcomes = resolve([tx(0, corrupted=True, emitter=1), tx(500, emitter=2)])
-        assert [o.verdict for o in outcomes] == [Verdict.LOST_CORRUPTED, Verdict.RECEIVED]
+        # outside collisions a corrupted packet is a corruption loss and an
+        # intact one is received
+        on, off = run(LOUD), run(LOUD.with_overrides(channel_errors_enabled=False))
+        lone = on.counts[:, :, Verdict.RECEIVED] + on.counts[:, :, Verdict.LOST_CORRUPTED]
+        assert np.array_equal(lone, off.counts[:, :, Verdict.RECEIVED])
 
     def test_same_emitter_overlap_does_not_collide(self):
         # one transmitter cannot jam itself; contention is between aircraft
-        outcomes = resolve([tx(0, emitter=3), tx(60, emitter=3)])
-        assert [o.verdict for o in outcomes] == [Verdict.RECEIVED] * 2
+        assert mask_of([(0, 120, 3), (60, 120, 3)]) == [False, False]
 
     def test_mixed_cluster_kills_every_member(self):
-        outcomes = resolve([tx(0, emitter=3), tx(60, emitter=3), tx(100, emitter=4)])
-        assert [o.verdict for o in outcomes] == [Verdict.LOST_COLLISION] * 3
+        assert mask_of([(0, 120, 3), (60, 120, 3), (100, 120, 4)]) == [True] * 3
 
     def test_single_transmitter_without_errors_loses_nothing(self):
-        packets = [tx(i * 90, emitter=7) for i in range(50)]  # overlapping chain
-        assert all(o.verdict is Verdict.RECEIVED for o in resolve(packets))
+        packets = [(i * 90, 120, 7) for i in range(50)]  # overlapping chain
+        assert mask_of(packets) == [False] * 50
 
     def test_unsorted_input_rejected(self):
         with pytest.raises(ValueError, match="sorted"):
-            resolve([tx(100), tx(0)])
-
-    def test_gated_input_rejected(self):
-        with pytest.raises(ValueError, match="sensitivity"):
-            resolve([tx(0, gated=True)])
+            mask_of([(100, 120, 0), (0, 120, 0)])
 
     def test_empty_input(self):
-        assert resolve([]) == []
+        hit = collision_mask(np.empty(0), np.empty(0), np.empty(0, dtype=np.int64))
+        assert hit.dtype == bool and hit.size == 0
 
 
 class TestClusters:
     def test_transitive_chain(self):
-        packets = [tx(0, emitter=1), tx(100, emitter=2), tx(200, emitter=3)]
-        clusters = overlap_clusters(packets)
-        assert [len(c) for c in clusters] == [3]
+        starts = np.array([0, 100, 200]) * US
+        assert cluster_ids(starts, starts + 120 * US).tolist() == [0, 0, 0]
 
     def test_disjoint_singletons(self):
-        packets = [tx(0), tx(1_000_000)]
-        clusters = overlap_clusters(packets)
-        assert [len(c) for c in clusters] == [1, 1]
+        starts = np.array([0, 1_000_000]) * US
+        assert cluster_ids(starts, starts + 120 * US).tolist() == [0, 1]
 
     def test_clusters_partition_input(self):
-        rng = np.random.default_rng(5)
-        packets = random_instance(rng, 400, 0.05)
-        clusters = overlap_clusters(packets)
-        flattened = [t for cluster in clusters for t in cluster]
-        assert sorted(flattened, key=lambda t: t.start_s) == sorted(packets, key=lambda t: t.start_s)
+        # one id per packet, numbered 0, 1, 2, ... in start order
+        starts, durations, _, _ = random_instance(np.random.default_rng(5), 400, 0.05)
+        ids = cluster_ids(starts, starts + durations)
+        assert ids.size == starts.size and ids[0] == 0
+        assert set(np.diff(ids).tolist()) <= {0, 1}
 
     def test_matches_brute_force_components(self):
         rng = np.random.default_rng(17)
         for n, span in ((50, 0.002), (200, 0.02), (400, 0.04), (300, 1.0)):
-            packets = random_instance(rng, n, span)
-            ids = cluster_ids(
-                np.array([t.start_s for t in packets]),
-                np.array([t.end_s for t in packets]),
-            )
-            assert list(ids) == brute_force_components(packets)
+            starts, durations, _, _ = random_instance(rng, n, span)
+            ids = cluster_ids(starts, starts + durations)
+            assert list(ids) == brute_force_components(starts, starts + durations)
 
 
 class TestResolveProperties:
     def test_verdicts_partition_input(self):
-        rng = np.random.default_rng(23)
-        packets = random_instance(rng, 500, 0.05)
-        outcomes = resolve(packets)
-        totals = {v: 0 for v in Verdict}
-        for o in outcomes:
-            totals[o.verdict] += 1
-        assert sum(totals.values()) == len(packets)
+        starts, durations, emitters, corrupted = random_instance(np.random.default_rng(23), 500, 0.05)
+        hit = collision_mask(starts, durations, emitters)
+        # a cluster loses every member or none
+        ids = cluster_ids(starts, starts + durations)
+        assert np.array_equal(hit, np.bincount(ids, weights=hit)[ids] > 0)
+        verdict = np.where(
+            hit, int(Verdict.LOST_COLLISION),
+            np.where(corrupted, int(Verdict.LOST_CORRUPTED), int(Verdict.RECEIVED)),
+        )
+        totals = np.bincount(verdict, minlength=len(Verdict))
+        assert totals.sum() == starts.size
         assert totals[Verdict.LOST_BELOW_SENSITIVITY] == 0
 
     def test_collision_verdicts_match_brute_force(self):
         rng = np.random.default_rng(31)
         for _ in range(30):
             n = int(rng.integers(2, 300))
-            packets = random_instance(rng, n, float(rng.uniform(0.001, 0.1)))
-            expected_hit = brute_force_collisions(packets)
-            got = collision_mask(
-                np.array([t.start_s for t in packets]),
-                np.array([t.duration_s for t in packets]),
-                np.array([t.emitter_id for t in packets]),
-            )
-            assert list(got) == expected_hit
-
-    def test_csv_export(self):
-        outcomes = resolve([tx(0, emitter=1), tx(60, emitter=2)])
-        text = outcomes_to_csv(outcomes)
-        lines = text.strip().splitlines()
-        assert lines[0].startswith("# sim1090 outcomes")
-        assert lines[2].endswith("lost_collision")
+            starts, durations, emitters, _ = random_instance(rng, n, float(rng.uniform(0.001, 0.1)))
+            expected_hit = brute_force_collisions(starts, starts + durations, emitters)
+            assert list(collision_mask(starts, durations, emitters)) == expected_hit
 
 
 #: (start, duration, emitter) packets on an integer-microsecond grid. Times
@@ -235,8 +210,7 @@ class TestCollisionMaskOnGrid:
         tie_key = [rnd.random() for _ in packets]
         by_index = grid_mask(packets, sorted(range(len(packets)), key=lambda i: (packets[i][0], i)))
         shuffled = grid_mask(packets, sorted(range(len(packets)), key=lambda i: (packets[i][0], tie_key[i])))
-        oracle = brute_force_collisions(
-            [Transmission(e, PacketKind.POS, float(start), float(dur)) for start, dur, e in packets]
-        )
+        starts, durations, emitters = (np.array(col, dtype=float) for col in zip(*packets))
+        oracle = brute_force_collisions(starts, starts + durations, emitters)
         assert by_index == oracle
         assert shuffled == by_index

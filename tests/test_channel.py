@@ -11,24 +11,23 @@ import numpy as np
 import pytest
 from scipy.special import erfc
 
+from sim1090.aloha import Verdict
 from sim1090.channel import (
     LinkBudget,
     aircraft_link_state,
     ber_mpsk_approx,
     ber_mpsk_exact,
-    classify_timeline,
-    classify_transmission,
     corruption_probability,
     passes_sensitivity,
     path_loss_db,
     received_power_dbm,
     snr_linear,
 )
+from sim1090.engine import run
 from sim1090.packets import PacketKind
 from sim1090.scenario import Aircraft, ScenarioConfig, build_fleet
-from sim1090.seeding import channel_rng, traffic_rng
+from sim1090.seeding import channel_rng
 from sim1090.frames import AirframeKind
-from sim1090.traffic import generate_timeline
 
 
 class TestPathLoss:
@@ -203,12 +202,18 @@ class TestClassify:
         assert state.below_sensitivity
 
     def test_pe_constant_across_a_run(self):
-        # quasi-static distance means one Pe per aircraft, every packet alike
-        plane = Aircraft(0, AirframeKind.PLANE, 33.0, 44.0, 0)
-        timeline = generate_timeline(plane, frozenset({PacketKind.POS}), 60.0, traffic_rng(3, 0))
-        annotated = classify_timeline(timeline, plane, _link(), channel_rng(3, 0))
-        powers = {tx.rx_power_dbm for tx in annotated}
-        assert len(powers) == 1
+        # quasi-static distance means one Pe per aircraft, every packet alike:
+        # the engine judges each uniform of the channel stream against it
+        cfg = ScenarioConfig(
+            n_planes=1, duration_s=60.0, seed=3, noise_floor_dbm=-80.0,
+            enabled_kinds=frozenset({PacketKind.POS}),
+        )
+        report = run(cfg)
+        state = aircraft_link_state(build_fleet(cfg)[0], LinkBudget.from_config(cfg))
+        draws = channel_rng(cfg.seed, 0).uniform(0.0, 1.0, report.generated_total)
+        expected = int(np.count_nonzero(draws >= 1.0 - state.pe_bit))
+        assert 0 < expected < report.generated_total
+        assert report.verdict_total(Verdict.LOST_CORRUPTED) == expected
 
     def test_corruption_frequency_matches_probability(self):
         # 10^5 draws within 3 sigma binomial bounds of the chained Pe
@@ -220,18 +225,16 @@ class TestClassify:
         sigma = math.sqrt(state.pe_bit * (1 - state.pe_bit) / draws.size)
         assert abs(freq - state.pe_bit) < 3 * sigma
 
-    def test_classify_transmission_annotates(self):
-        plane = Aircraft(0, AirframeKind.PLANE, 50.0, 44.0, 0)
-        timeline = generate_timeline(plane, frozenset({PacketKind.POS}), 5.0, traffic_rng(1, 0))
-        out = classify_transmission(timeline[0], plane, _link(), channel_rng(1, 0))
-        assert out.rx_power_dbm == pytest.approx(-83.168, abs=1e-3)
-        assert not out.below_sensitivity
-
     def test_channel_errors_disabled_is_clean(self):
-        plane = Aircraft(0, AirframeKind.PLANE, 50.0, 44.0, 0)
-        timeline = generate_timeline(plane, frozenset(PacketKind), 30.0, traffic_rng(1, 0))
-        annotated = classify_timeline(timeline, plane, _link(), channel_rng(1, 0), channel_errors_enabled=False)
-        assert all(not tx.corrupted and not tx.below_sensitivity for tx in annotated)
+        # planes out to 400 km at a -80 dBm floor: gated and corrupted
+        # packets with channel errors on, none with them off
+        cfg = ScenarioConfig(n_planes=6, duration_s=30.0, seed=1, plane_radius_km=400.0, noise_floor_dbm=-80.0)
+        on = run(cfg)
+        assert on.verdict_total(Verdict.LOST_BELOW_SENSITIVITY) > 0
+        assert on.verdict_total(Verdict.LOST_CORRUPTED) > 0
+        off = run(cfg.with_overrides(channel_errors_enabled=False))
+        assert off.verdict_total(Verdict.LOST_BELOW_SENSITIVITY) == 0
+        assert off.verdict_total(Verdict.LOST_CORRUPTED) == 0
 
     def test_uav_class_holds_six_db_link_margin(self):
         # at matched radius quantiles the UAV class sits exactly 6 dB above

@@ -78,6 +78,10 @@ class TestRun:
         assert lines[:3] == ["# sim1090 replicated-summary v1", "metric,mean,std", "# sim1090 replications v1"]
         assert all(row.endswith(",,") for row in lines[4:]) and len(lines) == 6
 
+    def test_zero_reps_is_an_error_line(self, capsys):
+        assert main(["run", "--scenario", "fig3_50", "--reps", "0"]) == 1
+        assert capsys.readouterr().err == "error: n_reps must be >= 1, got 0\n"
+
     def test_output_dir_env(self, tiny_scn, tmp_path, monkeypatch):
         monkeypatch.setenv("SIM1090_OUTPUT_DIR", str(tmp_path / "outputs"))
         assert main(["run", "--scenario", str(tiny_scn), "--out", "report.json"]) == 0
@@ -154,6 +158,10 @@ class TestCalibrate:
         path.write_text(NO_PACKETS)
         assert main(["calibrate", "--scenario", str(path), "--target", "0.5", "--reps", "1"]) != 0
         assert "generates no packets" in capsys.readouterr().err
+
+    def test_target_outside_unit_interval_is_an_error_line(self, capsys):
+        assert main(["calibrate", "--scenario", "fig3_50", "--target", "1.5"]) == 1
+        assert capsys.readouterr().err == "error: target_ratio must be in (0, 1), got 1.5\n"
 
     def test_feasible_target_converges(self, tmp_path, capsys):
         path = tmp_path / "cal.scn"

@@ -1,22 +1,24 @@
 """Engine tests: determinism, pinned report bytes, conservation,
-module-composition equivalence, zero-packet runs, replication summaries and
-the event queue."""
+equivalence with a per-packet reference, property tests over small configs,
+zero-packet runs and replication summaries."""
 
 import hashlib
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from sim1090.aloha import Verdict, resolve
-from sim1090.channel import LinkBudget, aircraft_link_state, classify_timeline
+from sim1090.aloha import Verdict, collision_mask
+from sim1090.channel import LinkBudget, aircraft_link_state, corruption_probability
 from sim1090.cli import load_preset
-from sim1090.engine import EventQueue, replicated_to_dict, run, run_replicated, summarize_reports
+from sim1090.engine import replicated_to_dict, run, run_replicated, summarize_reports
 from sim1090.frames import AirframeKind
 from sim1090.metrics import aloha_expected_ratio
-from sim1090.packets import KIND_INDEX, PacketKind
-from sim1090.scenario import ScenarioConfig, ValidationError, build_fleet
+from sim1090.packets import KIND_INDEX, KIND_ORDER, PacketKind, packet_duration_s
+from sim1090.scenario import BER_MODES, ScenarioConfig, ValidationError, build_fleet
 from sim1090.seeding import channel_rng, replication_seed, traffic_rng
-from sim1090.traffic import generate_timeline
+from sim1090.traffic import emission_times
 
 
 class TestRunBasics:
@@ -86,35 +88,61 @@ class TestPinnedReports:
         assert hashlib.sha256(report.to_json_bytes()).hexdigest() == self.PINNED[preset]
 
 
+def reference_packets(cfg):
+    """One (start, emitter, kind, corrupted, gated) tuple per generated packet.
+
+    Each aircraft's timeline is drawn kind by kind from its traffic stream,
+    and its channel uniforms kind by kind from its channel stream, one per
+    packet; a packet is corrupted iff its uniform is >= 1 - P_bad.
+    """
+    link = LinkBudget.from_config(cfg)
+    kinds = [k for k in KIND_ORDER if k in cfg.enabled_kinds]
+    packets = []
+    for a in build_fleet(cfg):
+        t_rng = traffic_rng(cfg.seed, a.id)
+        times = {kind: emission_times(kind, cfg.duration_s, t_rng) for kind in kinds}
+        state = aircraft_link_state(a, link)
+        c_rng = channel_rng(cfg.seed, a.id)
+        for kind in kinds:
+            p_bad = corruption_probability(state.pe_bit, kind, link.ber_mode)
+            uniforms = c_rng.uniform(0.0, 1.0, times[kind].size)
+            for start, u in zip(times[kind], uniforms):
+                corrupted = cfg.channel_errors_enabled and bool(u >= 1.0 - p_bad)
+                gated = cfg.channel_errors_enabled and state.below_sensitivity
+                packets.append((float(start), a.id, kind, corrupted, gated))
+    return packets
+
+
 def assert_engine_matches_per_module_pipeline(cfg):
-    # batch engine == build fleet -> timelines -> channel -> sort -> resolve
+    # run() == per-packet reference: timelines -> channel -> sort -> collisions
+    # among the packets that reach the receiver -> one verdict per packet
     report = run(cfg)
 
-    fleet = build_fleet(cfg)
-    link = LinkBudget.from_config(cfg)
-    merged = []
-    for a in fleet:
-        timeline = generate_timeline(a, cfg.enabled_kinds, cfg.duration_s, traffic_rng(cfg.seed, a.id))
-        merged.extend(classify_timeline(timeline, a, link, channel_rng(cfg.seed, a.id)))
-    merged.sort(key=lambda t: (t.start_s, t.emitter_id, KIND_INDEX[t.kind]))
-    audible = [t for t in merged if not t.below_sensitivity]
-    outcomes = resolve(audible)
+    packets = sorted(reference_packets(cfg), key=lambda p: (p[0], p[1], KIND_INDEX[p[2]]))
+    audible = [p for p in packets if not p[4]]
+    hits = iter(
+        collision_mask(
+            np.array([p[0] for p in audible], dtype=float),
+            np.array([packet_duration_s(p[2]) for p in audible], dtype=float),
+            np.array([p[1] for p in audible], dtype=np.int64),
+        )
+    )
 
     counts = np.zeros_like(report.counts)
-    for oc in outcomes:
-        t = oc.transmission
-        counts[t.emitter_id, KIND_INDEX[t.kind], oc.verdict] += 1
-    for t in merged:
-        if t.below_sensitivity:
-            counts[t.emitter_id, KIND_INDEX[t.kind], Verdict.LOST_BELOW_SENSITIVITY] += 1
+    tracked_pos_lost = []
+    for start, emitter, kind, corrupted, gated in packets:
+        if gated:
+            verdict = Verdict.LOST_BELOW_SENSITIVITY
+        elif next(hits):
+            verdict = Verdict.LOST_COLLISION
+        elif corrupted:
+            verdict = Verdict.LOST_CORRUPTED
+        else:
+            verdict = Verdict.RECEIVED
+        counts[emitter, KIND_INDEX[kind], verdict] += 1
+        if emitter == cfg.tracked_aircraft and kind is PacketKind.POS:
+            tracked_pos_lost.append(verdict is not Verdict.RECEIVED)
     assert np.array_equal(counts, report.counts)
-
-    received = {id(oc.transmission) for oc in outcomes if oc.verdict == Verdict.RECEIVED}
-    tracked_pos_lost = [
-        id(t) not in received
-        for t in merged
-        if t.emitter_id == cfg.tracked_aircraft and t.kind == PacketKind.POS
-    ]
     assert report.tracked_pos_lost.tolist() == tracked_pos_lost
     return report
 
@@ -259,24 +287,61 @@ class TestReportViews:
         assert doc["schema"] == "sim1090/run-report/v1"
 
 
-class TestEventQueue:
-    def test_pops_in_time_order_with_tiebreak(self):
-        q = EventQueue()
-        q.push(2.0, 1, PacketKind.POS)
-        q.push(1.0, 9, PacketKind.SMAG)
-        q.push(1.0, 2, PacketKind.VEL)
-        q.push(1.0, 2, PacketKind.POS)
-        popped = [q.pop() for _ in range(len(q))]
-        assert popped == [
-            (1.0, 2, PacketKind.POS),
-            (1.0, 2, PacketKind.VEL),
-            (1.0, 9, PacketKind.SMAG),
-            (2.0, 1, PacketKind.POS),
-        ]
+@st.composite
+def small_configs(draw):
+    """Valid configs of at most 12 aircraft and 20 s, channel on or off."""
+    n_planes = draw(st.integers(0, 8))
+    n_uavs = draw(st.integers(0 if n_planes else 1, 4))
+    return ScenarioConfig(
+        n_planes=n_planes,
+        n_uavs=n_uavs,
+        plane_radius_km=draw(st.floats(5.0, 400.0)),
+        uav_radius_km=draw(st.floats(0.5, 5.0)),
+        noise_floor_dbm=draw(st.floats(-110.0, -70.0)),
+        duration_s=draw(st.floats(0.1, 20.0)),
+        seed=draw(st.integers(0, 2**63)),
+        enabled_kinds=frozenset(draw(st.sets(st.sampled_from(KIND_ORDER), min_size=1))),
+        channel_errors_enabled=draw(st.booleans()),
+        ber_mode=draw(st.sampled_from(BER_MODES)),
+        tracked_aircraft=draw(st.integers(0, n_planes + n_uavs - 1)),
+        area_uniform=draw(st.booleans()),
+    )
 
-    def test_len_and_peek(self):
-        q = EventQueue()
-        q.push(4.0, 0, PacketKind.ID)
-        q.push(3.0, 0, PacketKind.ID)
-        assert len(q) == 2
-        assert q.peek_time() == 3.0
+
+class TestEngineProperties:
+    @settings(max_examples=40, deadline=None)
+    @given(cfg=small_configs())
+    def test_verdicts_partition_generated_packets(self, cfg):
+        doc = run(cfg).to_dict()
+        assert sum(doc["verdict_totals"].values()) == doc["generated"]
+        kinds = [k for k in KIND_ORDER if k in cfg.enabled_kinds]
+        for row in doc["per_aircraft"]:
+            t_rng = traffic_rng(cfg.seed, row["id"])
+            generated = sum(emission_times(k, cfg.duration_s, t_rng).size for k in kinds)
+            assert row["generated"] == generated
+            lost = row["lost_collision"] + row["lost_corrupted"] + row["lost_below_sensitivity"]
+            assert row["received"] + lost == generated
+
+    @settings(max_examples=25, deadline=None)
+    @given(cfg=small_configs())
+    def test_report_bytes_deterministic(self, cfg):
+        assert run(cfg).to_json_bytes() == run(cfg).to_json_bytes()
+
+    @settings(max_examples=25, deadline=None)
+    @given(cfg=small_configs())
+    def test_channel_errors_off_corrupts_and_gates_nothing(self, cfg):
+        for radius_km in (cfg.plane_radius_km, 400.0):
+            report = run(cfg.with_overrides(channel_errors_enabled=False, plane_radius_km=radius_km))
+            assert report.verdict_total(Verdict.LOST_CORRUPTED) == 0
+            assert report.verdict_total(Verdict.LOST_BELOW_SENSITIVITY) == 0
+
+    @settings(max_examples=60, deadline=None)
+    @given(cfg=small_configs(), rise_db=st.floats(0.0, 3.0))
+    def test_received_ratio_non_increasing_in_noise_floor(self, cfg, rise_db):
+        # common random numbers: one seed gives the same timelines, channel
+        # uniforms and gate at every floor; only P_bad grows with the floor
+        quiet = run(cfg.with_overrides(channel_errors_enabled=True))
+        loud = run(cfg.with_overrides(channel_errors_enabled=True, noise_floor_dbm=cfg.noise_floor_dbm + rise_db))
+        assert loud.generated_total == quiet.generated_total
+        if quiet.generated_total:
+            assert loud.received_ratio <= quiet.received_ratio

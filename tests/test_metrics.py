@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from sim1090.aloha import Verdict
+from sim1090.engine import RunReport
 from sim1090.frames import AirframeKind
 from sim1090.metrics import (
     CalibrationError,
@@ -15,11 +16,10 @@ from sim1090.metrics import (
     distance_binned_ratio,
     failed_windows_from_runs,
     loss_run_histogram,
-    received_ratio,
     update_probability,
 )
-from sim1090.packets import PacketKind
-from sim1090.scenario import Aircraft, ScenarioConfig
+from sim1090.packets import KIND_INDEX, PacketKind
+from sim1090.scenario import Aircraft, ScenarioConfig, build_fleet
 
 
 def flags(pattern: str) -> list[bool]:
@@ -37,26 +37,38 @@ def scan_histogram(lost_flags):
     return hist
 
 
+def report_with(received: int, lost: int) -> RunReport:
+    """A one-plane report of `received` received and `lost` collided POS packets."""
+    cfg = ScenarioConfig(n_planes=1)
+    counts = np.zeros((1, len(KIND_INDEX), len(Verdict)), dtype=np.int64)
+    counts[0, KIND_INDEX[PacketKind.POS], Verdict.RECEIVED] = received
+    counts[0, KIND_INDEX[PacketKind.POS], Verdict.LOST_COLLISION] = lost
+    return RunReport(
+        config=cfg,
+        fleet=tuple(build_fleet(cfg)),
+        counts=counts,
+        pos_loss_runs={},
+        update=None,
+        tracked_pos_lost=np.zeros(0, dtype=bool),
+    )
+
+
 class TestReceivedRatio:
     def test_run_scale_counts(self):
-        outcomes = [True] * 632 + [False] * 372
-        assert received_ratio(outcomes) == pytest.approx(0.6295, abs=2e-4)
+        assert report_with(632, 372).received_ratio == pytest.approx(0.6295, abs=2e-4)
 
     def test_all_received(self):
-        assert received_ratio([True] * 10) == 1.0
+        assert report_with(10, 0).received_ratio == 1.0
 
     def test_recount_oracle(self):
         rng = np.random.default_rng(3)
         sample = rng.random(997) < 0.37
-        assert received_ratio(sample) == sample.sum() / 997
-
-    def test_accepts_verdicts(self):
-        outcomes = [Verdict.RECEIVED, Verdict.LOST_COLLISION, Verdict.LOST_CORRUPTED]
-        assert received_ratio(outcomes) == pytest.approx(1 / 3)
+        received = int(sample.sum())
+        assert report_with(received, 997 - received).received_ratio == sample.sum() / 997
 
     def test_empty_rejected(self):
-        with pytest.raises(InsufficientDataError):
-            received_ratio([])
+        # no packets, no ratio: the report gives None rather than a number
+        assert report_with(0, 0).received_ratio is None
 
 
 class TestLossRunHistogram:

@@ -3,10 +3,11 @@
 import numpy as np
 import pytest
 
-from sim1090.packets import SCHEDULES, EmissionSchedule, PacketKind, packet_duration_s
+from sim1090.engine import run
+from sim1090.packets import KIND_INDEX, KIND_ORDER, SCHEDULES, PacketKind, packet_duration_s
 from sim1090.scenario import ScenarioConfig, build_fleet
 from sim1090.seeding import traffic_rng
-from sim1090.traffic import emission_times, generate_timeline, next_emission, timeline_to_csv
+from sim1090.traffic import emission_times
 
 ALL_KINDS = frozenset(PacketKind)
 
@@ -15,27 +16,10 @@ def _aircraft(seed=1):
     return build_fleet(ScenarioConfig(n_planes=1, seed=seed))[0]
 
 
-class TestNextEmission:
-    def test_pos_from_zero(self):
-        rng = np.random.default_rng(0)
-        for _ in range(200):
-            t = next_emission(PacketKind.POS, 0.0, rng)
-            assert 0.4 <= t <= 0.6
-
-    def test_id_from_ten(self):
-        rng = np.random.default_rng(0)
-        for _ in range(200):
-            t = next_emission(PacketKind.ID, 10.0, rng)
-            assert 14.8 <= t <= 15.2
-
-    def test_degenerate_schedule_is_exact(self):
-        sched = EmissionSchedule(PacketKind.POS, 0.5, 0.5)
-        rng = np.random.default_rng(0)
-        assert next_emission(sched, 2.0, rng) == 2.5
-
-    def test_negative_now_rejected(self):
-        with pytest.raises(ValueError):
-            next_emission(PacketKind.POS, -1.0, np.random.default_rng(0))
+def timeline(aircraft, kinds, horizon_s, seed):
+    """Emission times per kind, drawn in KIND_ORDER from one traffic stream."""
+    rng = traffic_rng(seed, aircraft.id)
+    return {kind: emission_times(kind, horizon_s, rng) for kind in KIND_ORDER if kind in kinds}
 
 
 class TestEmissionTimes:
@@ -81,49 +65,36 @@ class TestEmissionTimes:
 
 class TestGenerateTimeline:
     def test_sorted_and_durations_match_kind(self):
+        # ascending inside the horizon, and a packet ends before the next
+        # packet of its kind starts
         a = _aircraft()
-        timeline = generate_timeline(a, ALL_KINDS, 100.0, traffic_rng(1, a.id))
-        starts = [tx.start_s for tx in timeline]
-        assert starts == sorted(starts)
-        for tx in timeline:
-            assert tx.duration_s == packet_duration_s(tx.kind)
-            assert 0 <= tx.start_s < 100.0
-            assert tx.emitter_id == a.id
-            assert not tx.corrupted and tx.rx_power_dbm is None
+        for kind, times in timeline(a, ALL_KINDS, 100.0, seed=1).items():
+            assert times.size > 0
+            assert 0 <= times[0] and times[-1] < 100.0
+            assert np.all(times[1:] >= times[:-1] + packet_duration_s(kind))
 
     def test_only_enabled_kinds_present(self):
-        a = _aircraft()
-        timeline = generate_timeline(a, frozenset({PacketKind.POS}), 50.0, traffic_rng(1, a.id))
-        assert {tx.kind for tx in timeline} == {PacketKind.POS}
+        report = run(ScenarioConfig(n_planes=1, duration_s=50.0, enabled_kinds=frozenset({PacketKind.POS})))
+        per_kind = report.counts.sum(axis=(0, 2))
+        assert per_kind.sum() == per_kind[KIND_INDEX[PacketKind.POS]] > 0
 
     def test_deterministic_per_aircraft_and_seed(self):
         a = _aircraft()
-        t1 = generate_timeline(a, ALL_KINDS, 200.0, traffic_rng(5, a.id))
-        t2 = generate_timeline(a, ALL_KINDS, 200.0, traffic_rng(5, a.id))
-        assert t1 == t2
-        t3 = generate_timeline(a, ALL_KINDS, 200.0, traffic_rng(6, a.id))
-        assert t1 != t3
+        t1 = timeline(a, ALL_KINDS, 200.0, seed=5)
+        t2 = timeline(a, ALL_KINDS, 200.0, seed=5)
+        assert all(np.array_equal(t1[k], t2[k]) for k in KIND_ORDER)
+        t3 = timeline(a, ALL_KINDS, 200.0, seed=6)
+        assert not any(np.array_equal(t1[k], t3[k]) for k in KIND_ORDER)
 
     def test_short_horizon_before_first_phase_is_empty(self):
         # the first POS phase is one full jitter gap (>= 0.4 s) past t=0
         a = _aircraft()
-        timeline = generate_timeline(a, frozenset({PacketKind.POS}), 0.3, traffic_rng(1, a.id))
-        assert timeline == []
+        assert timeline(a, {PacketKind.POS}, 0.3, seed=1)[PacketKind.POS].size == 0
 
     def test_long_run_rate_near_aggregate(self):
         # six kinds emit 2+2+0.2+0.4+0.8+5 = 10.4 packets/s in the long run
         counts = []
         for seed in range(40):
             a = _aircraft(seed)
-            counts.append(len(generate_timeline(a, ALL_KINDS, 500.0, traffic_rng(seed, a.id))))
+            counts.append(sum(t.size for t in timeline(a, ALL_KINDS, 500.0, seed).values()))
         assert np.mean(counts) / 500.0 == pytest.approx(10.4, rel=0.005)
-
-    def test_csv_export_shape(self):
-        a = _aircraft()
-        timeline = generate_timeline(a, frozenset({PacketKind.SMAG}), 2.0, traffic_rng(1, a.id))
-        text = timeline_to_csv(timeline)
-        lines = text.strip().splitlines()
-        assert lines[0].startswith("# sim1090 timeline")
-        assert lines[1] == "emitter_id,kind,start_s,duration_s"
-        assert len(lines) == 2 + len(timeline)
-        assert lines[2].startswith(f"{a.id},SMAG,")
