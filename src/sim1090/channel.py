@@ -22,6 +22,10 @@ from .packets import PacketKind, on_air_bits
 from .scenario import BER_MODES, Aircraft, ScenarioConfig
 
 
+#: modulation order M of the M-PSK bit-error model
+PSK_ORDER = 8
+
+
 class QuadratureError(RuntimeError):
     """Raised when the exact bit-error integral fails to converge."""
 
@@ -34,14 +38,10 @@ class LinkBudget:
     noise_floor_dbm: float
     sensitivity_dbm: float
     ber_mode: str = "approx_eq5"
-    psk_order: int = 8
 
     def __post_init__(self) -> None:
         if self.freq_mhz <= 0:
             raise ValueError(f"freq_mhz must be > 0, got {self.freq_mhz}")
-        m = self.psk_order
-        if m < 2 or m & (m - 1):
-            raise ValueError(f"psk_order must be a power of two >= 2, got {m}")
         if self.ber_mode not in BER_MODES:
             raise ValueError(f"ber_mode must be one of {BER_MODES}, got {self.ber_mode!r}")
 
@@ -134,9 +134,9 @@ def ber_mpsk_exact(r: float, m: int = 8) -> float:
 def bit_error_rate(r: float, link: LinkBudget) -> float:
     """Per-bit error probability under the link's configured mode."""
     if link.ber_mode == "exact_eq4":
-        return ber_mpsk_exact(r, link.psk_order)
+        return ber_mpsk_exact(r, PSK_ORDER)
     # the per_bit mode length-scales the closed-form bit error rate
-    return ber_mpsk_approx(r, link.psk_order)
+    return ber_mpsk_approx(r, PSK_ORDER)
 
 
 def corruption_probability(pe_bit: float, kind: PacketKind, mode: str) -> float:

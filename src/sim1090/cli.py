@@ -3,23 +3,28 @@
 Subcommands: run (single or replicated simulation), sweep (one parameter
 over a value list), calibrate (noise-floor search against a target received
 ratio) and presets (list bundled scenarios). Identical command lines and
-input files produce byte-identical output files; numeric output is printed
-to 6 significant digits. SIM1090_OUTPUT_DIR, when set, anchors relative
---out paths.
+input files produce byte-identical output files, formatted by
+sim1090.report. SIM1090_OUTPUT_DIR, when set, anchors relative --out paths.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
-from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
 
-from .engine import _csv_field, _fmt6, mean_std, replicated_to_dict, run, run_replicated
+from .engine import mean_std, run, run_replicated
 from .metrics import CalibrationError, calibrate_noise_floor
+from .report import (
+    calibration_dict,
+    calibration_line,
+    json_text,
+    replicated_csv,
+    replicated_to_dict,
+    sweep_csv,
+)
 from .scenario import ScenarioConfig, ValidationError, load_scenario
 from .seeding import stable_seed
 
@@ -31,25 +36,6 @@ SWEEP_PARAMS: dict[str, type] = {
     "noise_floor_dbm": float,
     "deadline_s": float,
 }
-
-
-@dataclass(frozen=True)
-class SweepSpec:
-    """One swept config key, its values, and replications per value."""
-
-    param: str
-    values: tuple
-    reps: int
-
-    def __post_init__(self) -> None:
-        if self.param not in SWEEP_PARAMS:
-            raise ValidationError(
-                [f"unknown sweep parameter {self.param!r}; valid: {', '.join(sorted(SWEEP_PARAMS))}"]
-            )
-        if not self.values:
-            raise ValidationError(["sweep needs at least one value"])
-        if self.reps < 1:
-            raise ValidationError([f"replications must be >= 1, got {self.reps}"])
 
 
 def _presets_dir():
@@ -90,32 +76,19 @@ def _write_output(text: str, out: str | None) -> None:
     path.write_text(text, encoding="utf-8")
 
 
-def _json_text(doc: dict) -> str:
-    return json.dumps(doc, sort_keys=True, indent=2) + "\n"
-
-
 def cmd_run(args) -> int:
     config = _resolve_scenario(args.scenario)
     if args.seed is not None:
         config = config.with_overrides(seed=args.seed)
     if args.reps == 1:
         report = run(config)
-        text = _json_text(report.to_dict()) if args.format == "json" else report.to_csv()
+        text = json_text(report.to_dict()) if args.format == "json" else report.to_csv()
     else:
         result = run_replicated(config, args.reps)
-        doc = replicated_to_dict(config, result)
         if args.format == "json":
-            text = _json_text(doc)
+            text = json_text(replicated_to_dict(config, result))
         else:
-            lines = ["# sim1090 replicated-summary v1", "metric,mean,std"]
-            for metric, s in doc["summary"].items():
-                lines.append(f"{metric},{s['mean']:.6g},{s['std']:.6g}")
-            lines.append("# sim1090 replications v1")
-            lines.append("rep,seed,received_ratio,update_probability")
-            for k, row in enumerate(doc["replications"]):
-                ratio, up = _csv_field(row["received_ratio"]), _csv_field(row["update_probability"])
-                lines.append(f"{k},{row['seed']},{ratio},{up}")
-            text = "\n".join(lines) + "\n"
+            text = replicated_csv(result)
     _write_output(text, args.out)
     return 0
 
@@ -124,38 +97,30 @@ def cmd_sweep(args) -> int:
     base = _resolve_scenario(args.scenario)
     if args.seed is not None:
         base = base.with_overrides(seed=args.seed)
-    cast = SWEEP_PARAMS.get(args.param, str)
+    if args.param not in SWEEP_PARAMS:
+        raise ValidationError(
+            [f"unknown sweep parameter {args.param!r}; valid: {', '.join(sorted(SWEEP_PARAMS))}"]
+        )
+    cast = SWEEP_PARAMS[args.param]
     try:
         values = tuple(cast(v) for v in args.values.split(","))
     except ValueError:
         return _fail(f"could not parse sweep values {args.values!r} as {cast.__name__}")
-    spec = SweepSpec(param=args.param, values=values, reps=args.reps)
+    if args.reps < 1:
+        raise ValidationError([f"replications must be >= 1, got {args.reps}"])
 
-    point_lines = []
-    summary_lines = []
-    for value in spec.values:
+    points, summaries = [], []
+    for value in values:
         ratios = []
-        for rep in range(spec.reps):
+        for rep in range(args.reps):
             seed = stable_seed(base.seed, value, rep)
-            cfg = base.with_overrides(**{spec.param: value}, seed=seed)
-            report = run(cfg)
+            report = run(base.with_overrides(**{args.param: value}, seed=seed))
             up = None if report.update is None else report.update.probability
-            point_lines.append(
-                f"{spec.param},{value},{rep},{seed},"
-                f"{_csv_field(report.received_ratio)},{_csv_field(up)}"
-            )
+            points.append((value, rep, seed, report.received_ratio, up))
             ratios.append(report.received_ratio)
-        if None in ratios:
-            summary_lines.append(f"{spec.param},{value},{spec.reps},,")
-            continue
-        s = mean_std(ratios)
-        summary_lines.append(f"{spec.param},{value},{spec.reps},{s['mean']:.6g},{s['std']:.6g}")
-
-    lines = ["# sim1090 sweep-points v1", "param,value,rep,seed,received_ratio,update_probability"]
-    lines += point_lines
-    lines += ["# sim1090 sweep-summary v1", "param,value,reps,mean_received_ratio,std_received_ratio"]
-    lines += summary_lines
-    _write_output("\n".join(lines) + "\n", args.out)
+        s = {"mean": None, "std": None} if None in ratios else mean_std(ratios)
+        summaries.append((value, args.reps, s["mean"], s["std"]))
+    _write_output(sweep_csv(args.param, points, summaries), args.out)
     return 0
 
 
@@ -164,20 +129,9 @@ def cmd_calibrate(args) -> int:
     if args.seed is not None:
         base = base.with_overrides(seed=args.seed)
     result = calibrate_noise_floor(args.target, base, n_reps=args.reps)
-    doc = {
-        "schema": "sim1090/calibration/v1",
-        "noise_floor_dbm": _fmt6(result.noise_floor_dbm),
-        "achieved_ratio": _fmt6(result.achieved_ratio),
-        "target_ratio": result.target_ratio,
-        "n_reps": result.n_reps,
-        "iterations": result.iterations,
-    }
-    _write_output(_json_text(doc), args.out)
+    _write_output(json_text(calibration_dict(result)), args.out)
     if args.out is not None:
-        print(
-            f"calibrated noise floor {result.noise_floor_dbm:.6g} dBm "
-            f"(achieved ratio {result.achieved_ratio:.6g})"
-        )
+        print(calibration_line(result))
     return 0
 
 

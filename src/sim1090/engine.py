@@ -18,7 +18,6 @@ to byte-identical JSON across repeated runs.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 
@@ -29,29 +28,13 @@ from .aloha import Verdict, collision_mask
 from .channel import LinkBudget, aircraft_link_state, corruption_probability
 from .frames import AirframeKind
 from .packets import KIND_INDEX, KIND_ORDER, PacketKind, SCHEDULES, packet_duration_s
+from .report import json_bytes, run_csv, run_dict
 from .scenario import Aircraft, ScenarioConfig, build_fleet
 from .seeding import channel_rng, replication_seed, traffic_rng
 from .traffic import emission_times
 
-SCHEMA_RUN = "sim1090/run-report/v1"
-SCHEMA_REPLICATED = "sim1090/replicated-report/v1"
-
 _N_KINDS = len(KIND_ORDER)
 _N_VERDICTS = len(Verdict)
-
-
-def _fmt6(x: float) -> float:
-    """Round to 6 significant digits for stable, diffable output."""
-    return float(f"{x:.6g}")
-
-
-def _optional_fmt6(x: float | None) -> float | None:
-    return None if x is None else _fmt6(x)
-
-
-def _csv_field(x: float | None) -> str:
-    """A number to 6 significant digits; an undefined one as an empty field."""
-    return "" if x is None else f"{x:.6g}"
 
 
 def mean_std(values) -> dict[str, float]:
@@ -121,137 +104,17 @@ class RunReport:
             bin_width_km,
         )
 
-    # --- serialization ---
+    # --- serialization (formats live in sim1090.report) ---
 
     def to_dict(self) -> dict:
-        per_aircraft = []
-        for a in self.fleet:
-            c = self.counts[a.id]
-            per_aircraft.append(
-                {
-                    "id": a.id,
-                    "class": str(a.kind),
-                    "distance_km": _fmt6(a.distance_km),
-                    "address": a.address,
-                    "generated": int(c.sum()),
-                    "received": int(c[:, Verdict.RECEIVED].sum()),
-                    "lost_collision": int(c[:, Verdict.LOST_COLLISION].sum()),
-                    "lost_corrupted": int(c[:, Verdict.LOST_CORRUPTED].sum()),
-                    "lost_below_sensitivity": int(c[:, Verdict.LOST_BELOW_SENSITIVITY].sum()),
-                }
-            )
-        cfg = self.config
-        doc = {
-            "schema": SCHEMA_RUN,
-            "seed": cfg.seed,
-            "config": {
-                "n_planes": cfg.n_planes,
-                "n_uavs": cfg.n_uavs,
-                "plane_radius_km": cfg.plane_radius_km,
-                "uav_radius_km": cfg.uav_radius_km,
-                "plane_power_dbm": cfg.plane_power_dbm,
-                "uav_power_dbm": cfg.uav_power_dbm,
-                "sensitivity_dbm": cfg.sensitivity_dbm,
-                "freq_mhz": cfg.freq_mhz,
-                "bandwidth_hz": cfg.bandwidth_hz,
-                "noise_floor_dbm": cfg.noise_floor_dbm,
-                "duration_s": cfg.duration_s,
-                "seed": cfg.seed,
-                "enabled_kinds": [k.value for k in KIND_ORDER if k in cfg.enabled_kinds],
-                "channel_errors_enabled": cfg.channel_errors_enabled,
-                "ber_mode": cfg.ber_mode,
-                "deadline_s": cfg.deadline_s,
-                "tracked_aircraft": cfg.tracked_aircraft,
-                "area_uniform": cfg.area_uniform,
-            },
-            "generated": self.generated_total,
-            "received": self.received_total,
-            "received_ratio": _optional_fmt6(self.received_ratio),
-            "verdict_totals": {
-                "received": self.received_total,
-                "lost_collision": self.verdict_total(Verdict.LOST_COLLISION),
-                "lost_corrupted": self.verdict_total(Verdict.LOST_CORRUPTED),
-                "lost_below_sensitivity": self.verdict_total(Verdict.LOST_BELOW_SENSITIVITY),
-            },
-            "per_class": {str(cls): _optional_fmt6(self.class_ratio(cls)) for cls in AirframeKind},
-            "per_aircraft": per_aircraft,
-            "tracked_aircraft": cfg.tracked_aircraft,
-            "pos_loss_runs": {str(k): v for k, v in sorted(self.pos_loss_runs.items())},
-            "update_probability": None
-            if self.update is None
-            else {
-                "deadline_s": _fmt6(self.update.deadline_s),
-                "window_k": self.update.window_k,
-                "probability": _fmt6(self.update.probability),
-                "failed_windows": self.update.failed_windows,
-                "total_windows": self.update.total_windows,
-            },
-            "distance_bins": [
-                {
-                    "class": str(b.aircraft_class),
-                    "lo_km": _fmt6(b.lo_km),
-                    "hi_km": _fmt6(b.hi_km),
-                    "center_km": _fmt6(b.center_km),
-                    "n_aircraft": b.n_aircraft,
-                    "generated": b.generated,
-                    "received": b.received,
-                    "received_ratio": _fmt6(b.ratio),
-                }
-                for b in self.distance_bins()
-            ],
-        }
-        return doc
+        return run_dict(self)
 
     def to_json_bytes(self) -> bytes:
-        return json.dumps(self.to_dict(), sort_keys=True, separators=(",", ":")).encode("ascii")
+        return json_bytes(self.to_dict())
 
     def to_csv(self) -> str:
         """All report tables as one sectioned CSV document."""
-        lines = ["# sim1090 run-summary v1", "key,value"]
-        doc = self.to_dict()
-        lines.append(f"seed,{doc['seed']}")
-        lines.append(f"generated,{doc['generated']}")
-        lines.append(f"received,{doc['received']}")
-        lines.append(f"received_ratio,{_csv_field(doc['received_ratio'])}")
-        for name, count in doc["verdict_totals"].items():
-            lines.append(f"{name},{count}")
-        for cls, ratio in doc["per_class"].items():
-            lines.append(f"{cls}_received_ratio,{_csv_field(ratio)}")
-        if self.update is not None:
-            lines.append(f"update_probability,{self.update.probability:.6g}")
-            lines.append(f"update_window_k,{self.update.window_k}")
-            lines.append(f"update_failed_windows,{self.update.failed_windows}")
-            lines.append(f"update_total_windows,{self.update.total_windows}")
-
-        lines.append("# sim1090 aircraft-outcomes v1")
-        lines.append(
-            "aircraft_id,class,distance_km,kind,generated,received,"
-            "lost_collision,lost_corrupted,lost_below_sensitivity"
-        )
-        for a in self.fleet:
-            for kind in KIND_ORDER:
-                c = self.counts[a.id, KIND_INDEX[kind]]
-                if c.sum() == 0:
-                    continue
-                lines.append(
-                    f"{a.id},{a.kind},{a.distance_km:.6g},{kind},{int(c.sum())},"
-                    f"{int(c[Verdict.RECEIVED])},{int(c[Verdict.LOST_COLLISION])},"
-                    f"{int(c[Verdict.LOST_CORRUPTED])},{int(c[Verdict.LOST_BELOW_SENSITIVITY])}"
-                )
-
-        lines.append("# sim1090 pos-loss-runs v1")
-        lines.append("consecutive_losses,occurrences")
-        for length, count in sorted(self.pos_loss_runs.items()):
-            lines.append(f"{length},{count}")
-
-        lines.append("# sim1090 distance-bins v1")
-        lines.append("class,lo_km,hi_km,center_km,n_aircraft,generated,received,received_ratio")
-        for b in self.distance_bins():
-            lines.append(
-                f"{b.aircraft_class},{b.lo_km:.6g},{b.hi_km:.6g},{b.center_km:.6g},"
-                f"{b.n_aircraft},{b.generated},{b.received},{b.ratio:.6g}"
-            )
-        return "\n".join(lines) + "\n"
+        return run_csv(self)
 
 
 def run(config: ScenarioConfig) -> RunReport:
@@ -329,14 +192,14 @@ def run(config: ScenarioConfig) -> RunReport:
     if sum(length * count for length, count in pos_hist.items()) != lost_total:
         raise AssertionError("loss-run histogram does not account for every lost packet")
 
-    update = None
-    window_k = math.ceil(config.deadline_s / SCHEDULES[PacketKind.POS].mean_interval_s)
-    if tracked_pos_lost.size >= window_k:
+    try:
         update = metrics.update_probability(
             ~tracked_pos_lost,
             config.deadline_s,
             SCHEDULES[PacketKind.POS].mean_interval_s,
         )
+    except metrics.InsufficientDataError:
+        update = None  # fewer tracked POS packets than one deadline window
 
     return RunReport(
         config=config,
@@ -388,23 +251,3 @@ def run_replicated(config: ScenarioConfig, n_reps: int) -> ReplicationResult:
         for k in range(n_reps)
     )
     return ReplicationResult(reports=reports, summary=summarize_reports(reports))
-
-
-def replicated_to_dict(config: ScenarioConfig, result: ReplicationResult) -> dict:
-    return {
-        "schema": SCHEMA_REPLICATED,
-        "base_seed": config.seed,
-        "n_reps": len(result.reports),
-        "summary": {
-            metric: {"mean": _fmt6(s["mean"]), "std": _fmt6(s["std"])}
-            for metric, s in result.summary.items()
-        },
-        "replications": [
-            {
-                "seed": r.seed,
-                "received_ratio": _optional_fmt6(r.received_ratio),
-                "update_probability": None if r.update is None else _fmt6(r.update.probability),
-            }
-            for r in result.reports
-        ],
-    }

@@ -86,14 +86,6 @@ def update_probability(
     )
 
 
-def failed_windows_from_runs(hist: dict[int, int], window_k: int) -> int:
-    """Failed-window count implied by a loss-run histogram.
-
-    A run of length L contributes max(0, L - K + 1) all-lost windows.
-    """
-    return sum(max(0, length - window_k + 1) * count for length, count in hist.items())
-
-
 @dataclass(frozen=True)
 class DistanceBin:
     """Received ratio of one aircraft class within one distance bin."""

@@ -32,8 +32,9 @@ from sim1090.channel import (
 from sim1090.cli import load_preset, main
 from sim1090.engine import run, run_replicated
 from sim1090.frames import AirframeKind, SquitterFrame, pack, unpack
-from sim1090.metrics import aloha_expected_ratio, failed_windows_from_runs
+from sim1090.metrics import aloha_expected_ratio
 from sim1090.packets import KIND_INDEX, PacketKind
+from test_metrics import failed_windows_from_runs
 
 TARGET_FIG5 = 0.4866
 N_REPS = 10

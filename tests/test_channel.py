@@ -175,15 +175,10 @@ def _link(noise=-90.0, mode="approx_eq5"):
 
 
 class TestLinkBudget:
-    def test_psk_order_must_be_power_of_two(self):
-        with pytest.raises(ValueError):
-            LinkBudget(1090.0, -90.0, -93.0, psk_order=6)
-
     def test_from_config(self):
         cfg = ScenarioConfig(n_planes=1, noise_floor_dbm=-85.0)
         link = LinkBudget.from_config(cfg)
-        assert link.noise_floor_dbm == -85.0
-        assert link.psk_order == 8
+        assert link == LinkBudget(1090.0, -85.0, -93.0, "approx_eq5")
 
 
 class TestClassify:

@@ -1,10 +1,11 @@
 """Command-line front end tests, run in-process through main()."""
 
+import hashlib
 import json
 
 import pytest
 
-from sim1090.cli import main
+from sim1090.cli import OUTPUT_DIR_ENV, main
 from sim1090.engine import run
 from sim1090.scenario import loads_scenario
 from sim1090.seeding import stable_seed
@@ -13,6 +14,8 @@ TINY = "n_planes = 4\nn_uavs = 2\nduration_s = 30\nseed = 3\n"
 TINY_NO_ERRORS = "n_planes = 4\nduration_s = 30\nchannel_errors_enabled = false\nseed = 3\n"
 # valid, but the horizon ends before the first ID squitter: zero packets
 NO_PACKETS = "n_planes = 4\nduration_s = 0.1\nenabled_kinds = ID\nseed = 3\n"
+# too few POS packets for a 3 s window: no update probability
+SHORT = "n_planes = 3\nduration_s = 2\nseed = 3\n"
 
 
 @pytest.fixture
@@ -182,6 +185,62 @@ class TestCalibrate:
         doc = json.loads(capsys.readouterr().out)
         assert -120.0 <= doc["noise_floor_dbm"] <= -75.0
         assert abs(doc["achieved_ratio"] - target) <= 0.005 + 1e-6
+
+
+class TestOutputBytesPinned:
+    """SHA-256 of whole CLI outputs: every JSON and CSV shape the CLI writes.
+
+    The hashes were taken before report formatting was gathered into
+    sim1090.report. A change that moves one must say which bytes moved and
+    why.
+    """
+
+    CASES = {
+        "run-json": (TINY, "run"),
+        "run-csv": (TINY, "run --format csv"),
+        "run-short-json": (SHORT, "run"),
+        "run-short-csv": (SHORT, "run --format csv"),
+        "run-reps-json": (TINY, "run --reps 3"),
+        "run-reps-csv": (TINY, "run --reps 3 --format csv"),
+        "sweep-int": (TINY, "sweep --param n_planes --values 2,5 --reps 2"),
+        "sweep-float": (TINY, "sweep --param noise_floor_dbm --values=-95,-85 --reps 2"),
+        "calibrate-json": (TINY, "calibrate --target 0.7 --reps 1"),
+        "calibrate-out": (TINY, "calibrate --target 0.7 --reps 1 --out cal.json"),
+        "zero-run-json": (NO_PACKETS, "run"),
+        "zero-run-csv": (NO_PACKETS, "run --format csv"),
+        "zero-run-reps-csv": (NO_PACKETS, "run --reps 2 --format csv"),
+        "zero-sweep": (NO_PACKETS, "sweep --param n_planes --values 2,3"),
+    }
+
+    PINNED = {
+        "run-json": "7927bafd0e900b6d58d3fed2ed92069d053875a52295060e35d8e44330cab42e",
+        "run-csv": "b965d37cbd212881fa7541b87193556717dfb8359c0e8d250f4bac99db62071f",
+        "run-short-json": "e34e77d9b0a94aadf0d4028e16dcb5a00522df3229f3f65a9f39bc5acffe783f",
+        "run-short-csv": "1f6f979edd5549b4b3ee990852164f1484f5b69cfe0ade20815c2de0cd53c4ba",
+        "run-reps-json": "a226c1775774e32712ff9f3e4b3d26ea137ad04a03a660f9bb3b6083b0e8f3e9",
+        "run-reps-csv": "aa19ab63a4cbd51b5d5d6dca5e61684a1a581aa45aca71ffda4f79a522f8cc77",
+        "sweep-int": "07a45b18aeec049440a8648a74578ceca805f567b1ddd464d513aeb216e4c0c6",
+        "sweep-float": "a0456760903031144e2b8c5e835d8f7186fc378ac16292819333fc43ee8cefe8",
+        "calibrate-json": "54a11eb24ff725f376a21f41dd9f61f0727070762d1a5583279c707ba1e1e8e3",
+        "calibrate-out": "025ab35e1ac830fed0f82ea6e3b9c4c5bffeecca6f93d553b894dc9d5d0fe54c",
+        "zero-run-json": "f9ffbb6cc65b1b8574edc810af940f6d9c8344a54a2afe0e2d955b62e7995d6d",
+        "zero-run-csv": "d03c335387822cf4f6fcf2aeabaa31aae1d5fd5b5a3572e08a66cc7c61c9bb60",
+        "zero-run-reps-csv": "7d26c87ddbeb7606a31ca10522cd70763211ae65d4422f3226fbada2c355041f",
+        "zero-sweep": "cfa89c898e915cadbcb6fb41b280bf17d08fb6bf2f20cc3fceaba7696e2c96e7",
+    }
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_output_bytes_pinned(self, case, tmp_path, capsys, monkeypatch):
+        text, argv = self.CASES[case]
+        command, *args = argv.split()
+        path = tmp_path / "s.scn"
+        path.write_text(text)
+        monkeypatch.setenv(OUTPUT_DIR_ENV, str(tmp_path))
+        assert main([command, "--scenario", str(path), *args]) == 0
+        data = capsys.readouterr().out.encode()
+        if "--out" in args:
+            data += b"\0" + (tmp_path / args[args.index("--out") + 1]).read_bytes()
+        assert hashlib.sha256(data).hexdigest() == self.PINNED[case]
 
 
 class TestPresets:

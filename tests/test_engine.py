@@ -1,6 +1,7 @@
 """Engine tests: determinism, pinned report bytes, conservation,
-equivalence with a per-packet reference, property tests over small configs,
-zero-packet runs and replication summaries."""
+equivalence with a per-packet reference, property tests over small configs
+(JSON and CSV agreement included), zero-packet runs and replication
+summaries."""
 
 import hashlib
 
@@ -12,10 +13,11 @@ from hypothesis import strategies as st
 from sim1090.aloha import Verdict, collision_mask
 from sim1090.channel import LinkBudget, aircraft_link_state, corruption_probability
 from sim1090.cli import load_preset
-from sim1090.engine import replicated_to_dict, run, run_replicated, summarize_reports
+from sim1090.engine import run, run_replicated, summarize_reports
 from sim1090.frames import AirframeKind
 from sim1090.metrics import aloha_expected_ratio
 from sim1090.packets import KIND_INDEX, KIND_ORDER, PacketKind, packet_duration_s
+from sim1090.report import replicated_csv, replicated_to_dict
 from sim1090.scenario import BER_MODES, ScenarioConfig, ValidationError, build_fleet
 from sim1090.seeding import channel_rng, replication_seed, traffic_rng
 from sim1090.traffic import emission_times
@@ -345,3 +347,68 @@ class TestEngineProperties:
         assert loud.generated_total == quiet.generated_total
         if quiet.generated_total:
             assert loud.received_ratio <= quiet.received_ratio
+
+
+def rendered(value) -> str:
+    """A JSON report value as its CSV cell: 6 significant digits, null as empty."""
+    if value is None:
+        return ""
+    return f"{value:.6g}" if isinstance(value, float) else str(value)
+
+
+def csv_sections(text: str) -> dict[str, list[list[str]]]:
+    """Rows of a sectioned CSV document by section name, column line first."""
+    sections = {}
+    for line in text.splitlines():
+        if line.startswith("# sim1090 "):
+            rows = sections[line.split()[2]] = []
+        else:
+            rows.append(line.split(","))
+    return sections
+
+
+class TestJsonCsvAgree:
+    """Every cell of a CSV table equals the matching JSON value."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(cfg=small_configs())
+    def test_run_csv_matches_to_dict(self, cfg):
+        report = run(cfg)
+        doc, sections = report.to_dict(), csv_sections(report.to_csv())
+
+        columns, *rows = sections["distance-bins"]
+        assert rows == [[rendered(b[c]) for c in columns] for b in doc["distance_bins"]]
+
+        update = doc["update_probability"]
+        expected = {
+            **{key: doc[key] for key in ("seed", "generated", "received", "received_ratio")},
+            **doc["verdict_totals"],
+            **{f"{cls}_received_ratio": ratio for cls, ratio in doc["per_class"].items()},
+            **{
+                f"update_{key}": update[key]
+                for key in ("probability", "window_k", "failed_windows", "total_windows")
+                if update is not None
+            },
+        }
+        columns, *rows = sections["run-summary"]
+        assert columns == ["key", "value"]
+        assert {key for key, _ in rows} == set(expected)
+        for key, cell in rows:
+            assert cell == rendered(expected[key]), key
+
+    @settings(max_examples=20, deadline=None)
+    @given(cfg=small_configs(), n_reps=st.integers(1, 3))
+    def test_replicated_csv_matches_replicated_to_dict(self, cfg, n_reps):
+        result = run_replicated(cfg, n_reps)
+        doc = replicated_to_dict(cfg, result)
+        sections = csv_sections(replicated_csv(result))
+
+        columns, *rows = sections["replications"]
+        assert columns == ["rep", "seed", "received_ratio", "update_probability"]
+        assert rows == [
+            [str(k), *(rendered(row[c]) for c in columns[1:])]
+            for k, row in enumerate(doc["replications"])
+        ]
+        columns, *rows = sections["replicated-summary"]
+        summary = doc["summary"]
+        assert rows == [[m, rendered(s["mean"]), rendered(s["std"])] for m, s in summary.items()]

@@ -14,12 +14,20 @@ from sim1090.metrics import (
     aloha_expected_ratio,
     calibrate_noise_floor,
     distance_binned_ratio,
-    failed_windows_from_runs,
     loss_run_histogram,
     update_probability,
 )
 from sim1090.packets import KIND_INDEX, PacketKind
 from sim1090.scenario import Aircraft, ScenarioConfig, build_fleet
+
+
+def failed_windows_from_runs(hist: dict[int, int], window_k: int) -> int:
+    """Failed-window count implied by a loss-run histogram: an oracle for
+    update_probability's direct window scan.
+
+    A run of length L contributes max(0, L - K + 1) all-lost windows.
+    """
+    return sum(max(0, length - window_k + 1) * count for length, count in hist.items())
 
 
 def flags(pattern: str) -> list[bool]:
