@@ -37,7 +37,7 @@ def cluster_ids(starts: np.ndarray, ends: np.ndarray) -> np.ndarray:
     ends = np.asarray(ends, dtype=float)
     if starts.size == 0:
         return np.empty(0, dtype=np.int64)
-    if np.any(np.diff(starts) < 0):
+    if np.any(starts[1:] < starts[:-1]):
         raise ValueError("transmissions must be sorted by start time")
     running_end = np.maximum.accumulate(ends)
     new_cluster = np.empty(starts.size, dtype=bool)

@@ -12,10 +12,9 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from typing import NamedTuple
+from typing import NamedTuple, Sequence
 
 import numpy as np
-from scipy import integrate
 from scipy.special import erfc, ndtr
 
 from .packets import PacketKind, on_air_bits
@@ -70,14 +69,20 @@ def received_power_dbm(tx_power_dbm, loss_db):
     return tx_power_dbm - loss_db
 
 
-def passes_sensitivity(s_dbm: float, a_dbm: float) -> bool:
+def passes_sensitivity(s_dbm, a_dbm):
     """Inclusive gate: a packet enters the receiver iff S >= A."""
     return s_dbm >= a_dbm
 
 
 def snr_linear(s_dbm, n_dbm):
-    """Linear signal-to-noise power ratio from dBm inputs."""
-    return 10.0 ** ((np.asarray(s_dbm, dtype=float) - n_dbm) / 10.0)
+    """Linear signal-to-noise power ratio from dBm inputs.
+
+    Each element is raised with the C library's pow, as a scalar is: numpy's
+    vectorised power can differ from it in the last bit.
+    """
+    exponent = (np.asarray(s_dbm, dtype=float) - n_dbm) / 10.0
+    out = np.reshape([10.0 ** x for x in exponent.ravel().tolist()], exponent.shape)
+    return float(out) if out.ndim == 0 else out
 
 
 def ber_mpsk_approx(r, m: int = 8):
@@ -111,6 +116,9 @@ def ber_mpsk_exact(r: float, m: int = 8) -> float:
     region |theta| > pi/M (the complement form avoids cancellation at high
     SNR). Absolute tolerance 1e-6; non-convergence raises QuadratureError.
     """
+    # imported here: no preset uses this mode, and scipy.integrate is slow to import
+    from scipy import integrate
+
     if r < 0:
         raise ValueError(f"snr ratio must be >= 0, got {r}")
     if m < 2:
@@ -131,10 +139,11 @@ def ber_mpsk_exact(r: float, m: int = 8) -> float:
     return min(max(2.0 * half, 0.0), 1.0)
 
 
-def bit_error_rate(r: float, link: LinkBudget) -> float:
+def bit_error_rate(r, link: LinkBudget):
     """Per-bit error probability under the link's configured mode."""
     if link.ber_mode == "exact_eq4":
-        return ber_mpsk_exact(r, PSK_ORDER)
+        pe = np.reshape([ber_mpsk_exact(x, PSK_ORDER) for x in np.ravel(r).tolist()], np.shape(r))
+        return float(pe) if pe.ndim == 0 else pe
     # the per_bit mode length-scales the closed-form bit error rate
     return ber_mpsk_approx(r, PSK_ORDER)
 
@@ -154,19 +163,22 @@ def corruption_probability(pe_bit: float, kind: PacketKind, mode: str) -> float:
 
 
 class LinkState(NamedTuple):
-    """Per-aircraft channel constants (quasi-static for the whole run)."""
+    """Channel constants of a fleet, one entry per aircraft in fleet order
+    (quasi-static for the whole run)."""
 
-    rx_power_dbm: float
-    below_sensitivity: bool
-    pe_bit: float
+    rx_power_dbm: np.ndarray
+    below_sensitivity: np.ndarray
+    pe_bit: np.ndarray
 
 
-def aircraft_link_state(aircraft: Aircraft, link: LinkBudget) -> LinkState:
-    """Chain loss -> received power -> sensitivity gate -> SNR -> Pe."""
-    loss = path_loss_db(aircraft.distance_km, link.freq_mhz)
-    s = received_power_dbm(aircraft.power_dbm, loss)
-    gated = not passes_sensitivity(s, link.sensitivity_dbm)
+def aircraft_link_state(fleet: Sequence[Aircraft], link: LinkBudget) -> LinkState:
+    """Chain loss -> received power -> sensitivity gate -> SNR -> Pe over a fleet."""
+    distance = np.array([a.distance_km for a in fleet], dtype=float)
+    power = np.array([a.power_dbm for a in fleet], dtype=float)
+    s = received_power_dbm(power, path_loss_db(distance, link.freq_mhz))
     r = snr_linear(s, link.noise_floor_dbm)
-    pe = bit_error_rate(float(r), link)
-    return LinkState(rx_power_dbm=float(s), below_sensitivity=gated, pe_bit=pe)
-
+    return LinkState(
+        rx_power_dbm=s,
+        below_sensitivity=~passes_sensitivity(s, link.sensitivity_dbm),
+        pe_bit=bit_error_rate(r, link),
+    )

@@ -126,53 +126,64 @@ def run(config: ScenarioConfig) -> RunReport:
     errors_on = config.channel_errors_enabled
     n_aircraft, n_kinds = len(fleet), len(kinds)
 
-    # one block of packets per (aircraft, kind), aircraft-major; a gated
-    # aircraft's packets never reach the receiver, so its blocks are tallied
-    # but left empty and take no part in ordering or collisions
-    starts, corrupted, generated = [], [], []
     audible = np.ones(n_aircraft, dtype=bool)
+    if errors_on:
+        state = aircraft_link_state(fleet, link)
+        audible = ~state.below_sensitivity
+        p_good = [
+            [1.0 - corruption_probability(pe, kind, link.ber_mode) for kind in kinds]
+            for pe in state.pe_bit.tolist()
+        ]
+
+    # one block of packets per (aircraft, kind), aircraft-major and in time
+    # order within a block; a gated aircraft's packets never reach the
+    # receiver, so its blocks are tallied but left empty, take no part in
+    # ordering or collisions and draw nothing from the channel stream
+    starts, bad, generated = [], [], []
     for a in fleet:
         t_rng = traffic_rng(config.seed, a.id)
-        if errors_on:
-            c_rng = channel_rng(config.seed, a.id)
-            state = aircraft_link_state(a, link)
-            audible[a.id] = not state.below_sensitivity
-        for kind in kinds:
-            times = emission_times(kind, config.duration_s, t_rng)
-            generated.append(times.size)
-            if not audible[a.id]:
-                times = times[:0]
-            starts.append(times)
+        times = [emission_times(kind, config.duration_s, t_rng) for kind in kinds]
+        n_times = [t.size for t in times]
+        generated.extend(n_times)
+        if audible[a.id]:
+            starts.extend(times)
             if errors_on:
-                p_bad = corruption_probability(state.pe_bit, kind, link.ber_mode)
-                corrupted.append(c_rng.uniform(0.0, 1.0, times.size) >= 1.0 - p_bad)
+                # one uniform per packet, in kind order: a packet is bad iff
+                # its uniform is >= 1 - P_bad of its kind
+                uniforms = channel_rng(config.seed, a.id).random(sum(n_times))
+                bad.append(uniforms >= np.repeat(p_good[a.id], n_times))
 
-    sizes = np.array([times.size for times in starts], dtype=np.int64)
-    block = np.repeat(np.arange(sizes.size, dtype=np.int32), sizes)
-    start = np.concatenate(starts)
+    generated_matrix = np.zeros((n_aircraft, _N_KINDS), dtype=np.int64)
+    kind_idx = np.array([KIND_INDEX[k] for k in kinds])
+    generated_matrix[:, kind_idx] = np.reshape(generated, (n_aircraft, n_kinds))
+    sizes = (generated_matrix[:, kind_idx] * audible[:, None]).ravel()
+    offsets = np.concatenate(([0], np.cumsum(sizes)))
+    start = np.concatenate(starts or [np.empty(0)])
+    bad = np.concatenate(bad) if bad else np.zeros(start.size, dtype=bool)
 
     # packets are resolved in start-time order; ties need no tie-break (see
     # the module docstring)
     order = np.argsort(start)
-    start, block = start[order], block[order]
-    kind_idx = np.array([KIND_INDEX[k] for k in kinds])
-    block_emitter = np.repeat(np.arange(n_aircraft, dtype=np.int32), n_kinds)
+    start = start[order]
+    block = np.repeat(np.arange(sizes.size, dtype=np.int32), sizes)[order]
     block_duration = np.tile([packet_duration_s(k) for k in kinds], n_aircraft)
-    emitter, duration = block_emitter[block], block_duration[block]
+    hit = np.empty(start.size, dtype=bool)
+    hit[order] = collision_mask(start, block_duration[block], block // n_kinds)
 
-    generated_matrix = np.zeros((n_aircraft, _N_KINDS), dtype=np.int64)
-    generated_matrix[:, kind_idx] = np.reshape(generated, (n_aircraft, n_kinds))
-
-    # the later write wins, so collision outranks corruption
-    verdict = np.full(start.size, int(Verdict.RECEIVED), dtype=np.int8)
-    if errors_on:
-        verdict[np.concatenate(corrupted)[order]] = int(Verdict.LOST_CORRUPTED)
-    verdict[collision_mask(start, duration, emitter)] = int(Verdict.LOST_COLLISION)
-
+    # collision outranks corruption; each verdict is counted from its own
+    # mask, never as a remainder, so the conservation check below can fail
+    received = ~(hit | bad)
+    filled = sizes > 0
+    first = offsets[:-1][filled]
     counts = np.zeros((n_aircraft, _N_KINDS, _N_VERDICTS), dtype=np.int64)
-    counts[:, kind_idx] = np.bincount(
-        block * _N_VERDICTS + verdict, minlength=sizes.size * _N_VERDICTS
-    ).reshape(n_aircraft, n_kinds, _N_VERDICTS)
+    for verdict, mask in (
+        (Verdict.RECEIVED, received),
+        (Verdict.LOST_COLLISION, hit),
+        (Verdict.LOST_CORRUPTED, bad & ~hit),
+    ):
+        per_block = np.zeros(sizes.size, dtype=np.int64)
+        per_block[filled] = np.add.reduceat(mask, first, dtype=np.int64)
+        counts[:, kind_idx, verdict] = per_block.reshape(n_aircraft, n_kinds)
     counts[~audible, :, Verdict.LOST_BELOW_SENSITIVITY] = generated_matrix[~audible]
 
     # conservation: the verdict partition must reproduce the generated tallies
@@ -185,8 +196,8 @@ def run(config: ScenarioConfig) -> RunReport:
     elif not audible[tracked]:
         tracked_pos_lost = np.ones(generated_matrix[tracked, KIND_INDEX[PacketKind.POS]], dtype=bool)
     else:
-        pos_block = tracked * n_kinds + kinds.index(PacketKind.POS)
-        tracked_pos_lost = verdict[block == pos_block] != int(Verdict.RECEIVED)
+        b = tracked * n_kinds + kinds.index(PacketKind.POS)
+        tracked_pos_lost = ~received[offsets[b]:offsets[b + 1]]
     pos_hist = metrics.loss_run_histogram(~tracked_pos_lost)
     lost_total = int(tracked_pos_lost.sum())
     if sum(length * count for length, count in pos_hist.items()) != lost_total:

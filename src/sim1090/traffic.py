@@ -26,4 +26,5 @@ def emission_times(kind: PacketKind, horizon_s: float, rng: np.random.Generator)
     # gaps >= jitter_lo_s, so this many draws always reach the horizon
     n = int(horizon_s / sched.jitter_lo_s) + 2
     times = np.cumsum(rng.uniform(sched.jitter_lo_s, sched.jitter_hi_s, n))
-    return times[times < horizon_s]
+    # gaps are positive, so the times below the horizon are a prefix
+    return times[: np.searchsorted(times, horizon_s)]

@@ -157,14 +157,13 @@ def _class_blind_prediction(report, cls):
     cfg = report.config
     link = LinkBudget.from_config(cfg)
     power = cfg.plane_power_dbm if cls is AirframeKind.PLANE else cfg.uav_power_dbm
+    fleet = [replace(a, power_dbm=power) for a in report.fleet if a.kind is cls]
+    state = aircraft_link_state(fleet, link)
     generated, good = 0, 0.0
-    for a in report.fleet:
-        if a.kind is not cls:
-            continue
-        state = aircraft_link_state(replace(a, power_dbm=power), link)
+    for a, gated, pe in zip(fleet, state.below_sensitivity.tolist(), state.pe_bit.tolist()):
         for k, i in KIND_INDEX.items():
             gen = int(report.counts[a.id, i].sum())
-            p_bad = 1.0 if state.below_sensitivity else corruption_probability(state.pe_bit, k, cfg.ber_mode)
+            p_bad = 1.0 if gated else corruption_probability(pe, k, cfg.ber_mode)
             generated += gen
             good += gen * (1.0 - p_bad)
     return aloha_expected_ratio(cfg) * good / generated

@@ -11,18 +11,25 @@ import numpy as np
 import pytest
 from scipy.special import erfc
 
+import subprocess
+import sys
+from pathlib import Path
+
+import sim1090
 from sim1090.aloha import Verdict
 from sim1090.channel import (
     LinkBudget,
     aircraft_link_state,
     ber_mpsk_approx,
     ber_mpsk_exact,
+    bit_error_rate,
     corruption_probability,
     passes_sensitivity,
     path_loss_db,
     received_power_dbm,
     snr_linear,
 )
+from sim1090.cli import load_preset
 from sim1090.engine import run
 from sim1090.packets import PacketKind
 from sim1090.scenario import Aircraft, ScenarioConfig, build_fleet
@@ -184,17 +191,17 @@ class TestLinkBudget:
 class TestClassify:
     def test_chain_for_edge_plane(self):
         plane = Aircraft(0, AirframeKind.PLANE, 50.0, 44.0, 0)
-        state = aircraft_link_state(plane, _link())
-        assert state.rx_power_dbm == pytest.approx(-83.168, abs=1e-3)
-        assert not state.below_sensitivity
+        state = aircraft_link_state([plane], _link())
+        assert state.rx_power_dbm[0] == pytest.approx(-83.168, abs=1e-3)
+        assert not state.below_sensitivity[0]
         # r = 10^((-83.168 + 90) / 10) = 4.8195, erfc(sqrt(r) * sin(pi/8))
-        assert state.pe_bit == pytest.approx(0.234681, abs=1e-5)
+        assert state.pe_bit[0] == pytest.approx(0.234681, abs=1e-5)
 
     def test_far_low_power_emitter_is_gated(self):
         weak = Aircraft(0, AirframeKind.UAV, 40.0, 30.0, 0)
-        state = aircraft_link_state(weak, _link())
-        assert state.rx_power_dbm < -93.0
-        assert state.below_sensitivity
+        state = aircraft_link_state([weak], _link())
+        assert state.rx_power_dbm[0] < -93.0
+        assert state.below_sensitivity[0]
 
     def test_pe_constant_across_a_run(self):
         # quasi-static distance means one Pe per aircraft, every packet alike:
@@ -204,21 +211,21 @@ class TestClassify:
             enabled_kinds=frozenset({PacketKind.POS}),
         )
         report = run(cfg)
-        state = aircraft_link_state(build_fleet(cfg)[0], LinkBudget.from_config(cfg))
+        pe = aircraft_link_state(build_fleet(cfg), LinkBudget.from_config(cfg)).pe_bit[0]
         draws = channel_rng(cfg.seed, 0).uniform(0.0, 1.0, report.generated_total)
-        expected = int(np.count_nonzero(draws >= 1.0 - state.pe_bit))
+        expected = int(np.count_nonzero(draws >= 1.0 - pe))
         assert 0 < expected < report.generated_total
         assert report.verdict_total(Verdict.LOST_CORRUPTED) == expected
 
     def test_corruption_frequency_matches_probability(self):
         # 10^5 draws within 3 sigma binomial bounds of the chained Pe
         plane = Aircraft(0, AirframeKind.PLANE, 50.0, 44.0, 0)
-        state = aircraft_link_state(plane, _link())
+        pe = float(aircraft_link_state([plane], _link()).pe_bit[0])
         rng = channel_rng(8, 0)
         draws = rng.uniform(0.0, 1.0, 100_000)
-        freq = np.mean(draws >= 1.0 - state.pe_bit)
-        sigma = math.sqrt(state.pe_bit * (1 - state.pe_bit) / draws.size)
-        assert abs(freq - state.pe_bit) < 3 * sigma
+        freq = np.mean(draws >= 1.0 - pe)
+        sigma = math.sqrt(pe * (1 - pe) / draws.size)
+        assert abs(freq - pe) < 3 * sigma
 
     def test_channel_errors_disabled_is_clean(self):
         # planes out to 400 km at a -80 dBm floor: gated and corrupted
@@ -238,8 +245,7 @@ class TestClassify:
         for q in (0.1, 0.5, 1.0):
             plane = Aircraft(0, AirframeKind.PLANE, 50.0 * q, 44.0, 0)
             uav = Aircraft(1, AirframeKind.UAV, 5.0 * q, 30.0, 1)
-            s_plane = aircraft_link_state(plane, link).rx_power_dbm
-            s_uav = aircraft_link_state(uav, link).rx_power_dbm
+            s_plane, s_uav = aircraft_link_state([plane, uav], link).rx_power_dbm
             assert s_uav - s_plane == pytest.approx(6.0, abs=1e-9)
 
 
@@ -247,5 +253,36 @@ class TestFleetIntegration:
     def test_every_default_aircraft_clears_the_gate(self):
         cfg = ScenarioConfig(n_planes=50, n_uavs=20, seed=5)
         link = LinkBudget.from_config(cfg)
-        for a in build_fleet(cfg):
-            assert not aircraft_link_state(a, link).below_sensitivity
+        assert not aircraft_link_state(build_fleet(cfg), link).below_sensitivity.any()
+
+    @pytest.mark.parametrize(
+        "cfg",
+        [
+            load_preset("fig5.scn"),
+            load_preset("fig7.scn"),
+            ScenarioConfig(n_planes=6, n_uavs=3, seed=4, plane_radius_km=200.0, noise_floor_dbm=-80.0, ber_mode="exact_eq4"),
+        ],
+        ids=["fig5", "fig7", "exact_eq4"],
+    )
+    def test_fleet_arrays_equal_scalar_chain(self, cfg):
+        # equal, not approximately equal: the engine's verdicts compare
+        # uniforms against these values
+        link = LinkBudget.from_config(cfg)
+        fleet = build_fleet(cfg)
+        state = aircraft_link_state(fleet, link)
+        for a in fleet:
+            s = received_power_dbm(a.power_dbm, path_loss_db(a.distance_km, link.freq_mhz))
+            assert state.rx_power_dbm[a.id] == s
+            assert state.below_sensitivity[a.id] == (not passes_sensitivity(s, link.sensitivity_dbm))
+            assert state.pe_bit[a.id] == bit_error_rate(snr_linear(s, link.noise_floor_dbm), link)
+
+
+def test_cli_import_leaves_out_scipy_integrate():
+    # only the exact_eq4 mode integrates; importing scipy.integrate costs
+    # every other command a few tenths of a second
+    src = Path(sim1090.__file__).resolve().parents[1]
+    code = "import sys, sim1090.cli; print('scipy.integrate' in sys.modules)"
+    out = subprocess.run(
+        [sys.executable, "-c", code], cwd=src, capture_output=True, text=True, check=True, timeout=60
+    )
+    assert out.stdout.strip() == "False"

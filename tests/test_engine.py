@@ -70,12 +70,15 @@ class TestRunBasics:
 
 
 class TestPinnedReports:
-    """SHA-256 of whole preset reports at their preset seeds.
+    """SHA-256 of whole reports: presets at their preset seeds, and preset
+    variants that take the channel paths the presets leave out.
 
-    The hashes were taken before packets were ordered by start time alone
-    (they were sorted by start, emitter and kind). Equal hashes show the
-    ordering, assembly and collision code give the same report byte for
-    byte; a change that moves them must say which numbers moved and why.
+    The preset hashes were taken before packets were ordered by start time
+    alone (they were sorted by start, emitter and kind); the variant hashes
+    before the link chain ran over the whole fleet and each aircraft drew its
+    channel uniforms in one call. Equal hashes show the engine gives the same
+    report byte for byte; a change that moves them must say which numbers
+    moved and why.
     """
 
     PINNED = {
@@ -84,10 +87,37 @@ class TestPinnedReports:
         "fig7": "60ec05ec9fd95f801b344b13ad2a7b7d615805512e6b60ea542dc15f0b896b34",
     }
 
+    #: name -> (preset, overrides, hash)
+    VARIANTS = {
+        "fig6-per_bit-78dBm": (
+            "fig6", {"ber_mode": "per_bit", "noise_floor_dbm": -78.0},
+            "f658fe63f7865b38f53798e02b6482b1b5bc608db44cfa2dab443f63590c8203",
+        ),
+        "fig6-exact_eq4": (
+            "fig6", {"ber_mode": "exact_eq4"},
+            "967f6294f73cbd9db5f90a4f844921c7cc26901e6b2fa10bfa5e4a8d80f8cda3",
+        ),
+        # planes beyond about 127 km are gated, the tracked aircraft 5 among them
+        "fig6-gated-tracked": (
+            "fig6", {"plane_radius_km": 400.0, "noise_floor_dbm": -80.0, "tracked_aircraft": 5},
+            "8ebd77593beabb070b286b5d2fac58f1ec10897a60987bd204be4470e566db0e",
+        ),
+        "all-gated": (
+            "fig5", {"n_planes": 3, "plane_radius_km": 5000.0},
+            "3220915b92054aa61938d674372d6abae85f4d1f26e12152e3311d7a446643ef",
+        ),
+    }
+
     @pytest.mark.parametrize("preset", sorted(PINNED))
     def test_report_bytes_pinned(self, preset):
         report = run(load_preset(f"{preset}.scn"))
         assert hashlib.sha256(report.to_json_bytes()).hexdigest() == self.PINNED[preset]
+
+    @pytest.mark.parametrize("name", sorted(VARIANTS))
+    def test_variant_report_bytes_pinned(self, name):
+        preset, overrides, digest = self.VARIANTS[name]
+        report = run(load_preset(f"{preset}.scn").with_overrides(**overrides))
+        assert hashlib.sha256(report.to_json_bytes()).hexdigest() == digest
 
 
 def reference_packets(cfg):
@@ -99,18 +129,19 @@ def reference_packets(cfg):
     """
     link = LinkBudget.from_config(cfg)
     kinds = [k for k in KIND_ORDER if k in cfg.enabled_kinds]
+    fleet = build_fleet(cfg)
+    state = aircraft_link_state(fleet, link)
     packets = []
-    for a in build_fleet(cfg):
+    for a in fleet:
         t_rng = traffic_rng(cfg.seed, a.id)
         times = {kind: emission_times(kind, cfg.duration_s, t_rng) for kind in kinds}
-        state = aircraft_link_state(a, link)
         c_rng = channel_rng(cfg.seed, a.id)
         for kind in kinds:
-            p_bad = corruption_probability(state.pe_bit, kind, link.ber_mode)
+            p_bad = corruption_probability(float(state.pe_bit[a.id]), kind, link.ber_mode)
             uniforms = c_rng.uniform(0.0, 1.0, times[kind].size)
             for start, u in zip(times[kind], uniforms):
                 corrupted = cfg.channel_errors_enabled and bool(u >= 1.0 - p_bad)
-                gated = cfg.channel_errors_enabled and state.below_sensitivity
+                gated = cfg.channel_errors_enabled and bool(state.below_sensitivity[a.id])
                 packets.append((float(start), a.id, kind, corrupted, gated))
     return packets
 
@@ -149,7 +180,26 @@ def assert_engine_matches_per_module_pipeline(cfg):
     return report
 
 
+@st.composite
+def channel_configs(draw):
+    """Channel-on small configs at a -95 to -75 dBm floor, with planes out to
+    400 km so that some fall below the sensitivity gate (about 127 km)."""
+    cfg = draw(small_configs())
+    return cfg.with_overrides(
+        channel_errors_enabled=True,
+        plane_radius_km=draw(st.floats(50.0, 400.0)),
+        noise_floor_dbm=draw(st.floats(-95.0, -75.0)),
+    )
+
+
 class TestModuleCompositionEquivalence:
+    @settings(max_examples=30, deadline=None)
+    @given(cfg=channel_configs())
+    def test_engine_matches_per_module_pipeline_property(self, cfg):
+        # the reference draws each kind's channel uniforms in its own call,
+        # the engine one block per aircraft: the streams must agree
+        assert_engine_matches_per_module_pipeline(cfg)
+
     def test_engine_matches_per_module_pipeline(self):
         cfg = ScenarioConfig(
             n_planes=6, n_uavs=2, duration_s=40.0, seed=77,
@@ -172,7 +222,7 @@ class TestModuleCompositionEquivalence:
             noise_floor_dbm=-80.0,
         )
         link = LinkBudget.from_config(cfg)
-        gated = [a.id for a in build_fleet(cfg) if aircraft_link_state(a, link).below_sensitivity]
+        gated = np.flatnonzero(aircraft_link_state(build_fleet(cfg), link).below_sensitivity).tolist()
         report = assert_engine_matches_per_module_pipeline(cfg.with_overrides(tracked_aircraft=gated[0]))
         assert report.tracked_pos_lost.size > 0 and report.tracked_pos_lost.all()
         assert report.update is not None and report.update.probability == 0.0
