@@ -25,17 +25,12 @@ from .report import (
     replicated_to_dict,
     sweep_csv,
 )
-from .scenario import ScenarioConfig, ValidationError, load_scenario
+from .scenario import ScenarioConfig, ValidationError, load_scenario, loads_scenario, parse_value
 from .seeding import stable_seed
 
 OUTPUT_DIR_ENV = "SIM1090_OUTPUT_DIR"
 
-SWEEP_PARAMS: dict[str, type] = {
-    "n_planes": int,
-    "n_uavs": int,
-    "noise_floor_dbm": float,
-    "deadline_s": float,
-}
+SWEEP_PARAMS = ("n_planes", "n_uavs", "noise_floor_dbm", "deadline_s")
 
 
 def _presets_dir():
@@ -58,8 +53,6 @@ def _resolve_scenario(path_text: str) -> ScenarioConfig:
 
 
 def load_preset(name: str) -> ScenarioConfig:
-    from .scenario import loads_scenario
-
     return loads_scenario((_presets_dir() / name).read_text(encoding="utf-8"))
 
 
@@ -101,11 +94,10 @@ def cmd_sweep(args) -> int:
         raise ValidationError(
             [f"unknown sweep parameter {args.param!r}; valid: {', '.join(sorted(SWEEP_PARAMS))}"]
         )
-    cast = SWEEP_PARAMS[args.param]
     try:
-        values = tuple(cast(v) for v in args.values.split(","))
+        values = tuple(parse_value(args.param, v) for v in args.values.split(","))
     except ValueError:
-        return _fail(f"could not parse sweep values {args.values!r} as {cast.__name__}")
+        return _fail(f"could not parse sweep values {args.values!r} for {args.param}")
     if args.reps < 1:
         raise ValidationError([f"replications must be >= 1, got {args.reps}"])
 
@@ -190,7 +182,7 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except FileNotFoundError as exc:
+    except OSError as exc:  # FileNotFoundError included
         return _fail(str(exc))
     except ValueError as exc:  # ValidationError included
         return _fail(str(exc))

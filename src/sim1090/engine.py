@@ -27,7 +27,7 @@ from . import metrics
 from .aloha import Verdict, collision_mask
 from .channel import LinkBudget, aircraft_link_state, corruption_probability
 from .frames import AirframeKind
-from .packets import KIND_INDEX, KIND_ORDER, PacketKind, SCHEDULES, packet_duration_s
+from .packets import KIND_INDEX, KIND_ORDER, PacketKind, packet_duration_s
 from .report import json_bytes, run_csv, run_dict
 from .scenario import Aircraft, ScenarioConfig, build_fleet
 from .seeding import channel_rng, replication_seed, traffic_rng
@@ -35,6 +35,9 @@ from .traffic import emission_times
 
 _N_KINDS = len(KIND_ORDER)
 _N_VERDICTS = len(Verdict)
+#: on-air time of one packet of each kind, in KIND_ORDER
+_BLOCK_DURATION = np.array([packet_duration_s(k) for k in KIND_ORDER])
+_NO_PACKETS = np.empty(0)
 
 
 def mean_std(values) -> dict[str, float]:
@@ -122,27 +125,29 @@ def run(config: ScenarioConfig) -> RunReport:
     config.validate()
     fleet = build_fleet(config)
     link = LinkBudget.from_config(config)
-    kinds = [k for k in KIND_ORDER if k in config.enabled_kinds]
     errors_on = config.channel_errors_enabled
-    n_aircraft, n_kinds = len(fleet), len(kinds)
+    n_aircraft = len(fleet)
 
     audible = np.ones(n_aircraft, dtype=bool)
     if errors_on:
         state = aircraft_link_state(fleet, link)
         audible = ~state.below_sensitivity
         p_good = [
-            [1.0 - corruption_probability(pe, kind, link.ber_mode) for kind in kinds]
+            [1.0 - corruption_probability(pe, kind, link.ber_mode) for kind in KIND_ORDER]
             for pe in state.pe_bit.tolist()
         ]
 
-    # one block of packets per (aircraft, kind), aircraft-major and in time
-    # order within a block; a gated aircraft's packets never reach the
-    # receiver, so its blocks are tallied but left empty, take no part in
+    # one block of packets per (aircraft, kind in KIND_ORDER), aircraft-major
+    # and in time order within a block; a disabled kind (None here) has an
+    # empty block and draws nothing. A gated aircraft's packets never reach
+    # the receiver, so its blocks are tallied but left empty, take no part in
     # ordering or collisions and draw nothing from the channel stream
+    draws = [k if k in config.enabled_kinds else None for k in KIND_ORDER]
     starts, bad, generated = [], [], []
     for a in fleet:
         t_rng = traffic_rng(config.seed, a.id)
-        times = [emission_times(kind, config.duration_s, t_rng) for kind in kinds]
+        times = [_NO_PACKETS if kind is None else emission_times(kind, config.duration_s, t_rng)
+                 for kind in draws]
         n_times = [t.size for t in times]
         generated.extend(n_times)
         if audible[a.id]:
@@ -153,12 +158,10 @@ def run(config: ScenarioConfig) -> RunReport:
                 uniforms = channel_rng(config.seed, a.id).random(sum(n_times))
                 bad.append(uniforms >= np.repeat(p_good[a.id], n_times))
 
-    generated_matrix = np.zeros((n_aircraft, _N_KINDS), dtype=np.int64)
-    kind_idx = np.array([KIND_INDEX[k] for k in kinds])
-    generated_matrix[:, kind_idx] = np.reshape(generated, (n_aircraft, n_kinds))
-    sizes = (generated_matrix[:, kind_idx] * audible[:, None]).ravel()
+    generated = np.array(generated, dtype=np.int64).reshape(n_aircraft, _N_KINDS)
+    sizes = (generated * audible[:, None]).ravel()
     offsets = np.concatenate(([0], np.cumsum(sizes)))
-    start = np.concatenate(starts or [np.empty(0)])
+    start = np.concatenate(starts or [_NO_PACKETS])
     bad = np.concatenate(bad) if bad else np.zeros(start.size, dtype=bool)
 
     # packets are resolved in start-time order; ties need no tie-break (see
@@ -166,9 +169,9 @@ def run(config: ScenarioConfig) -> RunReport:
     order = np.argsort(start)
     start = start[order]
     block = np.repeat(np.arange(sizes.size, dtype=np.int32), sizes)[order]
-    block_duration = np.tile([packet_duration_s(k) for k in kinds], n_aircraft)
+    duration = np.tile(_BLOCK_DURATION, n_aircraft)[block]
     hit = np.empty(start.size, dtype=bool)
-    hit[order] = collision_mask(start, block_duration[block], block // n_kinds)
+    hit[order] = collision_mask(start, duration, block // _N_KINDS)
 
     # collision outranks corruption; each verdict is counted from its own
     # mask, never as a remainder, so the conservation check below can fail
@@ -183,32 +186,27 @@ def run(config: ScenarioConfig) -> RunReport:
     ):
         per_block = np.zeros(sizes.size, dtype=np.int64)
         per_block[filled] = np.add.reduceat(mask, first, dtype=np.int64)
-        counts[:, kind_idx, verdict] = per_block.reshape(n_aircraft, n_kinds)
-    counts[~audible, :, Verdict.LOST_BELOW_SENSITIVITY] = generated_matrix[~audible]
+        counts[:, :, verdict] = per_block.reshape(n_aircraft, _N_KINDS)
+    counts[~audible, :, Verdict.LOST_BELOW_SENSITIVITY] = generated[~audible]
 
     # conservation: the verdict partition must reproduce the generated tallies
-    if counts.sum() != sum(generated) or not np.array_equal(counts.sum(axis=2), generated_matrix):
+    if not np.array_equal(counts.sum(axis=2), generated):
         raise AssertionError("outcome partition does not match generated packet counts")
 
     tracked = config.tracked_aircraft
-    if PacketKind.POS not in kinds:
-        tracked_pos_lost = np.zeros(0, dtype=bool)
-    elif not audible[tracked]:
-        tracked_pos_lost = np.ones(generated_matrix[tracked, KIND_INDEX[PacketKind.POS]], dtype=bool)
-    else:
-        b = tracked * n_kinds + kinds.index(PacketKind.POS)
+    pos = KIND_INDEX[PacketKind.POS]
+    if audible[tracked]:
+        b = tracked * _N_KINDS + pos
         tracked_pos_lost = ~received[offsets[b]:offsets[b + 1]]
+    else:
+        tracked_pos_lost = np.ones(generated[tracked, pos], dtype=bool)
     pos_hist = metrics.loss_run_histogram(~tracked_pos_lost)
     lost_total = int(tracked_pos_lost.sum())
     if sum(length * count for length, count in pos_hist.items()) != lost_total:
         raise AssertionError("loss-run histogram does not account for every lost packet")
 
     try:
-        update = metrics.update_probability(
-            ~tracked_pos_lost,
-            config.deadline_s,
-            SCHEDULES[PacketKind.POS].mean_interval_s,
-        )
+        update = metrics.update_probability(~tracked_pos_lost, config.deadline_s)
     except metrics.InsufficientDataError:
         update = None  # fewer tracked POS packets than one deadline window
 

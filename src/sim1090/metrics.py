@@ -56,21 +56,17 @@ class UpdateProbabilityResult:
     total_windows: int
 
 
-def update_probability(
-    outcomes,
-    deadline_s: float,
-    nominal_interval_s: float = 0.5,
-) -> UpdateProbabilityResult:
+def update_probability(outcomes, deadline_s: float) -> UpdateProbabilityResult:
     """Probability that a deadline-sized window contains a received packet.
 
-    The deadline maps to K = ceil(deadline / nominal interval) consecutive
+    The deadline maps to K = ceil(deadline / mean POS interval) consecutive
     generation slots; a window fails iff all K packets in it were lost, and
     the probability is 1 - failed/total over all N-K+1 sliding windows.
     """
     if deadline_s <= 0:
         raise ValueError(f"deadline_s must be > 0, got {deadline_s}")
     lost = ~np.asarray(outcomes, dtype=bool)
-    k = math.ceil(deadline_s / nominal_interval_s)
+    k = math.ceil(deadline_s / SCHEDULES[PacketKind.POS].mean_interval_s)
     n = lost.size
     if n < k:
         raise InsufficientDataError(f"need at least {k} packets for a {deadline_s}s deadline, got {n}")
@@ -167,6 +163,10 @@ def aloha_expected_ratio(config: ScenarioConfig, kind: PacketKind | None = None)
     return sum(rates[i] * survival[i] for i in kinds) / total_rate
 
 
+CALIBRATION_TOL_POINTS = 0.5
+CALIBRATION_MAX_EVALS = 60
+
+
 @dataclass(frozen=True)
 class CalibrationResult:
     """Outcome of the noise-floor bisection search."""
@@ -184,11 +184,10 @@ def calibrate_noise_floor(
     base_config: ScenarioConfig,
     n_reps: int = 10,
     bracket: tuple[float, float] = (-120.0, -75.0),
-    tolerance_points: float = 0.5,
-    max_iters: int = 60,
 ) -> CalibrationResult:
     """Bisect the noise floor until the replicated mean received ratio
-    matches the target within the tolerance (in percentage points).
+    matches the target within CALIBRATION_TOL_POINTS percentage points, in
+    at most CALIBRATION_MAX_EVALS evaluations.
 
     Every evaluation reuses the same replication seeds, which makes the
     measured ratio exactly non-increasing in the floor; monotonicity is
@@ -202,7 +201,7 @@ def calibrate_noise_floor(
     quiet, loud = bracket
     if quiet >= loud:
         raise ValueError(f"bracket must be (quiet, loud) with quiet < loud, got {bracket}")
-    tol = tolerance_points / 100.0
+    tol = CALIBRATION_TOL_POINTS / 100.0
     evaluations: list[tuple[float, float]] = []
 
     def mean_ratio(floor: float) -> float:
@@ -232,7 +231,7 @@ def calibrate_noise_floor(
             f"target ratio {target_ratio:.4f} unreachable in bracket "
             f"[{quiet}, {loud}] dBm: ratio({quiet})={r_quiet:.4f}, ratio({loud})={r_loud:.4f}"
         )
-    for iteration in range(3, max_iters + 1):
+    for iteration in range(3, CALIBRATION_MAX_EVALS + 1):
         mid = 0.5 * (quiet + loud)
         r_mid = mean_ratio(mid)
         if abs(r_mid - target_ratio) <= tol:
@@ -242,6 +241,6 @@ def calibrate_noise_floor(
         else:
             loud = mid
     raise CalibrationError(
-        f"no floor within {tolerance_points} points of {target_ratio:.4f} "
-        f"after {max_iters} evaluations (bracket narrowed to [{quiet}, {loud}])"
+        f"no floor within {CALIBRATION_TOL_POINTS} points of {target_ratio:.4f} "
+        f"after {CALIBRATION_MAX_EVALS} evaluations (bracket narrowed to [{quiet}, {loud}])"
     )

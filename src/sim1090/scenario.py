@@ -16,12 +16,16 @@ from dataclasses import dataclass, fields, replace
 from typing import Iterable
 
 from .frames import AirframeKind
-from .packets import PacketKind
+from .packets import SCHEDULES, PacketKind
 from .seeding import MAX_SEED, fleet_rng
 
 BER_MODES = ("approx_eq5", "exact_eq4", "per_bit")
 
 ALL_KINDS = frozenset(PacketKind)
+
+#: Largest expected packet count a config may ask for. One run peaks at
+#: about 80 bytes per packet, so this keeps a run near 4 GB.
+MAX_PACKETS = 50_000_000
 
 
 class ValidationError(ValueError):
@@ -60,7 +64,7 @@ class ScenarioConfig:
         out = [
             f"{f.name} must be finite, got {getattr(self, f.name)}"
             for f in fields(self)
-            if f.name in _FLOAT_KEYS and not math.isfinite(getattr(self, f.name))
+            if f.type == "float" and not math.isfinite(getattr(self, f.name))
         ]
         if self.n_planes < 0:
             out.append(f"n_planes must be >= 0, got {self.n_planes}")
@@ -92,6 +96,17 @@ class ScenarioConfig:
                 f"tracked_aircraft={self.tracked_aircraft} outside fleet "
                 f"of {self.n_planes + self.n_uavs}"
             )
+        # estimated only from valid counts and duration, so that one bad value
+        # gives one problem; divided, so that no aircraft count overflows a float
+        if self.n_planes >= 0 and self.n_uavs >= 0 and 0 < self.duration_s < math.inf:
+            rate_hz = sum(SCHEDULES[k].rate_hz for k in PacketKind if k in self.enabled_kinds)
+            per_aircraft = rate_hz * self.duration_s
+            n_aircraft = self.n_planes + self.n_uavs
+            if per_aircraft > 0 and n_aircraft > MAX_PACKETS / per_aircraft:
+                out.append(
+                    f"{n_aircraft} aircraft at about {per_aircraft:.3g} packets each exceed "
+                    f"the limit of {MAX_PACKETS:,} packets; shorten duration_s or shrink the fleet"
+                )
         return out
 
     def validate(self) -> "ScenarioConfig":
@@ -162,55 +177,38 @@ def build_fleet(config: ScenarioConfig) -> list[Aircraft]:
 
 # --- scenario text parsing ---
 
-_INT_KEYS = {"n_planes", "n_uavs", "seed", "tracked_aircraft"}
-_FLOAT_KEYS = {
-    "plane_radius_km",
-    "uav_radius_km",
-    "plane_power_dbm",
-    "uav_power_dbm",
-    "sensitivity_dbm",
-    "freq_mhz",
-    "bandwidth_hz",
-    "noise_floor_dbm",
-    "duration_s",
-    "deadline_s",
-}
-_BOOL_KEYS = {"channel_errors_enabled", "area_uniform"}
-_KNOWN_KEYS = (
-    _INT_KEYS | _FLOAT_KEYS | _BOOL_KEYS | {"enabled_kinds", "ber_mode"}
-)
-
 _BOOL_WORDS = {
     "true": True, "yes": True, "on": True, "1": True,
     "false": False, "no": False, "off": False, "0": False,
 }
 
 
-def _parse_value(key: str, raw: str, lineno: int):
-    try:
-        if key in _INT_KEYS:
-            return int(raw)
-        if key in _FLOAT_KEYS:
-            return float(raw)
-        if key in _BOOL_KEYS:
-            word = raw.lower()
-            if word not in _BOOL_WORDS:
-                raise ValueError(raw)
-            return _BOOL_WORDS[word]
-        if key == "enabled_kinds":
-            names = [part.strip() for part in raw.replace(",", " ").split()]
-            if not names:
-                raise ValueError("empty kind list")
-            return frozenset(PacketKind(name.upper()) for name in names)
-        if key == "ber_mode":
-            if raw not in BER_MODES:
-                raise ValueError(raw)
-            return raw
-    except ValueError:
-        raise ValidationError(
-            [f"line {lineno}: bad value for {key}: {raw!r}"]
-        ) from None
-    raise AssertionError(f"unhandled key {key}")
+def _parse_bool(raw: str) -> bool:
+    if raw.lower() not in _BOOL_WORDS:
+        raise ValueError(raw)
+    return _BOOL_WORDS[raw.lower()]
+
+
+def _parse_kinds(raw: str) -> frozenset[PacketKind]:
+    names = raw.replace(",", " ").split()
+    if not names:
+        raise ValueError("empty kind list")
+    return frozenset(PacketKind(name.upper()) for name in names)
+
+
+_PARSER_BY_TYPE = {
+    "int": int, "float": float, "bool": _parse_bool, "str": str,
+    "frozenset[PacketKind]": _parse_kinds,
+}
+
+#: one parser per config key, chosen by the field's declared type
+_PARSERS = {f.name: _PARSER_BY_TYPE[f.type] for f in fields(ScenarioConfig)}
+
+
+def parse_value(key: str, raw: str):
+    """Type the text of one config key (ValueError if it does not parse);
+    ScenarioConfig.problems() checks the value itself."""
+    return _PARSERS[key](raw)
 
 
 def loads_scenario(text: str) -> ScenarioConfig:
@@ -223,11 +221,14 @@ def loads_scenario(text: str) -> ScenarioConfig:
         if "=" not in stripped:
             raise ValidationError([f"line {lineno}: expected 'key = value', got {stripped!r}"])
         key, raw = (part.strip() for part in stripped.split("=", 1))
-        if key not in _KNOWN_KEYS:
+        if key not in _PARSERS:
             raise ValidationError([f"line {lineno}: unknown key {key!r}"])
         if key in values:
             raise ValidationError([f"line {lineno}: duplicate key {key!r}"])
-        values[key] = _parse_value(key, raw, lineno)
+        try:
+            values[key] = parse_value(key, raw)
+        except ValueError:
+            raise ValidationError([f"line {lineno}: bad value for {key}: {raw!r}"]) from None
     if "n_planes" not in values:
         raise ValidationError(["missing required key n_planes"])
     return ScenarioConfig(**values).validate()

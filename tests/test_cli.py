@@ -85,6 +85,18 @@ class TestRun:
         assert main(["run", "--scenario", "fig3_50", "--reps", "0"]) == 1
         assert capsys.readouterr().err == "error: n_reps must be >= 1, got 0\n"
 
+    @pytest.mark.parametrize("out", ["directory", "under_a_file"])
+    def test_unwritable_out_is_an_error_line(self, tiny_scn, tmp_path, capsys, out):
+        # a directory raises IsADirectoryError, a path under a regular file
+        # FileExistsError or NotADirectoryError: all OSErrors
+        path = tmp_path
+        if out == "under_a_file":
+            (tmp_path / "plain").write_text("")
+            path = tmp_path / "plain" / "report.json"
+        assert main(["run", "--scenario", str(tiny_scn), "--out", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+
     def test_output_dir_env(self, tiny_scn, tmp_path, monkeypatch):
         monkeypatch.setenv("SIM1090_OUTPUT_DIR", str(tmp_path / "outputs"))
         assert main(["run", "--scenario", str(tiny_scn), "--out", "report.json"]) == 0
@@ -137,6 +149,13 @@ class TestSweep:
         ]) != 0
         err = capsys.readouterr().err
         assert "n_planes" in err and "noise_floor_dbm" in err
+
+    def test_unparsable_value_names_the_parameter(self, tiny_scn, capsys):
+        assert main([
+            "sweep", "--scenario", str(tiny_scn), "--param", "n_uavs", "--values", "1.5",
+        ]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "n_uavs" in err and err.count("\n") == 1
 
     def test_deterministic_output(self, tiny_scn, tmp_path):
         args = [

@@ -36,6 +36,11 @@ class TestRunBasics:
         with pytest.raises(ValidationError):
             run(ScenarioConfig(n_planes=0, n_uavs=0))
 
+    def test_over_budget_config_rejected_before_any_allocation(self):
+        # about 2e12 packets: validate() must stop it before the fleet is built
+        with pytest.raises(ValidationError, match="limit of 50,000,000 packets"):
+            run(ScenarioConfig(n_planes=200, duration_s=1e9))
+
     def test_deterministic_byte_identical(self):
         cfg = ScenarioConfig(n_planes=25, n_uavs=5, duration_s=60.0, seed=12)
         assert run(cfg).to_json_bytes() == run(cfg).to_json_bytes()
@@ -78,7 +83,8 @@ class TestPinnedReports:
     before the link chain ran over the whole fleet and each aircraft drew its
     channel uniforms in one call. Equal hashes show the engine gives the same
     report byte for byte; a change that moves them must say which numbers
-    moved and why.
+    moved and why. The two disabled-kind variants were pinned before the
+    engine laid out all six kind blocks per aircraft whatever was enabled.
     """
 
     PINNED = {
@@ -105,6 +111,23 @@ class TestPinnedReports:
         "all-gated": (
             "fig5", {"n_planes": 3, "plane_radius_km": 5000.0},
             "3220915b92054aa61938d674372d6abae85f4d1f26e12152e3311d7a446643ef",
+        ),
+        # no POS block: tracked_pos_lost is empty and update is null
+        "fig6-id-smag-80dBm": (
+            "fig6",
+            {"enabled_kinds": frozenset({PacketKind.ID, PacketKind.SMAG}), "noise_floor_dbm": -80.0},
+            "b19eeaead28f639ee39bf01f3544a71a04ab4d4fd687466b92df3198c09c4aa5",
+        ),
+        # two of six kinds with the tracked aircraft gated
+        "fig6-pos-tss-gated-tracked": (
+            "fig6",
+            {
+                "enabled_kinds": frozenset({PacketKind.POS, PacketKind.TSS}),
+                "ber_mode": "per_bit",
+                "plane_radius_km": 400.0,
+                "tracked_aircraft": 5,
+            },
+            "2f48fb321497dc8e3f3ab0d4c44495793bf4081486d173e7b3ca70c2d279f37d",
         ),
     }
 

@@ -1,19 +1,25 @@
 """Scenario parsing, validation and deterministic fleet generation."""
 
 import math
+from dataclasses import fields
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats
+from test_engine import channel_configs, small_configs
 
 from sim1090.frames import AirframeKind
 from sim1090.packets import PacketKind
 from sim1090.scenario import (
+    MAX_PACKETS,
     ScenarioConfig,
     ValidationError,
     build_fleet,
     dumps_scenario,
     loads_scenario,
+    parse_value,
 )
 
 FLOAT_KEYS = (
@@ -88,6 +94,34 @@ class TestLoadScenario:
                              enabled_kinds=frozenset({PacketKind.POS, PacketKind.SMAG}))
         assert loads_scenario(dumps_scenario(cfg)) == cfg
 
+    @settings(max_examples=60, deadline=None)
+    @given(cfg=st.one_of(small_configs(), channel_configs()))
+    def test_dump_load_round_trip_property(self, cfg):
+        # every field type: int, float, bool, str and the kind set
+        assert loads_scenario(dumps_scenario(cfg)) == cfg
+
+    def test_float_keys_are_the_float_fields(self):
+        assert tuple(f.name for f in fields(ScenarioConfig) if f.type == "float") == FLOAT_KEYS
+        for key in FLOAT_KEYS:
+            assert parse_value(key, "2.5") == 2.5
+
+    def test_parse_value_types(self):
+        assert parse_value("n_uavs", "7") == 7
+        assert parse_value("area_uniform", "Yes") is True
+        assert parse_value("channel_errors_enabled", "off") is False
+        assert parse_value("enabled_kinds", "pos smag") == frozenset({PacketKind.POS, PacketKind.SMAG})
+        for key, raw in (("n_uavs", "1.5"), ("area_uniform", "maybe"), ("enabled_kinds", " ")):
+            with pytest.raises(ValueError):
+                parse_value(key, raw)
+
+    def test_bad_value_names_line_and_key(self):
+        with pytest.raises(ValidationError, match="line 2: bad value for area_uniform: 'maybe'"):
+            loads_scenario("n_planes = 1\narea_uniform = maybe\n")
+
+    def test_unknown_ber_mode_rejected_by_validation(self):
+        with pytest.raises(ValidationError, match="ber_mode must be one of"):
+            loads_scenario("n_planes = 1\nber_mode = fast\n")
+
 
 class TestValidation:
     def test_empty_fleet_rejected(self):
@@ -119,6 +153,32 @@ class TestValidation:
         problems = ScenarioConfig(n_planes=1, **{key: math.nan for key in FLOAT_KEYS}).problems()
         for key in FLOAT_KEYS:
             assert f"{key} must be finite, got nan" in problems
+
+    def test_packet_budget(self):
+        problems = ScenarioConfig(n_planes=200, duration_s=1e9).problems()
+        assert problems == [
+            "200 aircraft at about 1.04e+10 packets each exceed the limit of 50,000,000 "
+            "packets; shorten duration_s or shrink the fleet"
+        ]
+
+    def test_packet_budget_boundary(self):
+        # one aircraft sending POS only: 2 packets/s
+        at_limit = ScenarioConfig(n_planes=1, enabled_kinds=frozenset({PacketKind.POS}),
+                                  duration_s=MAX_PACKETS / 2)
+        assert at_limit.problems() == []
+        assert len(at_limit.with_overrides(duration_s=MAX_PACKETS / 2 + 1).problems()) == 1
+
+    @pytest.mark.parametrize("changes", [
+        {"duration_s": math.inf}, {"duration_s": math.nan}, {"duration_s": -1.0},
+        {"n_planes": -1, "n_uavs": 10**9},
+    ])
+    def test_packet_budget_not_derived_from_invalid_values(self, changes):
+        problems = ScenarioConfig(**{"n_planes": 200, **changes}).problems()
+        assert problems and not any("limit" in p for p in problems)
+
+    def test_huge_fleet_over_budget_without_overflow(self):
+        problems = ScenarioConfig(n_planes=10**400).problems()
+        assert any("limit of 50,000,000 packets" in p for p in problems)
 
     def test_non_finite_value_in_scenario_text_rejected(self):
         with pytest.raises(ValidationError, match="noise_floor_dbm must be finite"):
