@@ -151,7 +151,7 @@ def run(config: ScenarioConfig) -> RunReport:
         n_times = [t.size for t in times]
         generated.extend(n_times)
         if audible[a.id]:
-            starts.extend(times)
+            starts.extend(t for t in times if t.size)
             if errors_on:
                 # one uniform per packet, in kind order: a packet is bad iff
                 # its uniform is >= 1 - P_bad of its kind

@@ -57,15 +57,13 @@ class EmissionSchedule:
     from [jitter_lo_s, jitter_hi_s].
     """
 
-    kind: PacketKind
     jitter_lo_s: float
     jitter_hi_s: float
 
     def __post_init__(self) -> None:
         if not 0.0 < self.jitter_lo_s <= self.jitter_hi_s:
             raise ValueError(
-                f"invalid jitter interval for {self.kind}: "
-                f"[{self.jitter_lo_s}, {self.jitter_hi_s}]"
+                f"invalid jitter interval [{self.jitter_lo_s}, {self.jitter_hi_s}]"
             )
 
     @property
@@ -81,10 +79,10 @@ class EmissionSchedule:
 #: Shaking intervals per kind. SMAG keeps the 5 packets/s rate with a
 #: +/-25% jitter around its 0.2 s mean, mirroring the relative jitter of POS.
 SCHEDULES: dict[PacketKind, EmissionSchedule] = {
-    PacketKind.POS: EmissionSchedule(PacketKind.POS, 0.4, 0.6),
-    PacketKind.VEL: EmissionSchedule(PacketKind.VEL, 0.4, 0.6),
-    PacketKind.ID: EmissionSchedule(PacketKind.ID, 4.8, 5.2),
-    PacketKind.AOS: EmissionSchedule(PacketKind.AOS, 2.4, 2.6),
-    PacketKind.TSS: EmissionSchedule(PacketKind.TSS, 1.2, 1.3),
-    PacketKind.SMAG: EmissionSchedule(PacketKind.SMAG, 0.15, 0.25),
+    PacketKind.POS: EmissionSchedule(0.4, 0.6),
+    PacketKind.VEL: EmissionSchedule(0.4, 0.6),
+    PacketKind.ID: EmissionSchedule(4.8, 5.2),
+    PacketKind.AOS: EmissionSchedule(2.4, 2.6),
+    PacketKind.TSS: EmissionSchedule(1.2, 1.3),
+    PacketKind.SMAG: EmissionSchedule(0.15, 0.25),
 }

@@ -22,7 +22,7 @@ if TYPE_CHECKING:
     from .metrics import CalibrationResult
     from .scenario import ScenarioConfig
 
-SCHEMA_RUN = "sim1090/run-report/v1"
+SCHEMA_RUN = "sim1090/run-report/v2"
 SCHEMA_REPLICATED = "sim1090/replicated-report/v1"
 SCHEMA_CALIBRATION = "sim1090/calibration/v1"
 
@@ -96,7 +96,7 @@ def run_dict(report: RunReport) -> dict:
         "per_class": {str(cls): fmt6(report.class_ratio(cls)) for cls in AirframeKind},
         "per_aircraft": [
             {"id": a.id, "class": str(a.kind), "distance_km": fmt6(a.distance_km),
-             "address": a.address, **dict(zip(VERDICT_COLUMNS, verdict_row(report.counts[a.id])))}
+             **dict(zip(VERDICT_COLUMNS, verdict_row(report.counts[a.id])))}
             for a in report.fleet
         ],
         "tracked_aircraft": cfg.tracked_aircraft,

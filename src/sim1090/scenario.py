@@ -48,7 +48,6 @@ class ScenarioConfig:
     uav_power_dbm: float = 30.0
     sensitivity_dbm: float = -93.0
     freq_mhz: float = 1090.0
-    bandwidth_hz: float = 1e6
     noise_floor_dbm: float = -90.0
     duration_s: float = 500.0
     seed: int = 1
@@ -79,8 +78,6 @@ class ScenarioConfig:
             )
         if self.duration_s <= 0:
             out.append(f"duration_s must be > 0, got {self.duration_s}")
-        if self.bandwidth_hz <= 0:
-            out.append(f"bandwidth_hz must be > 0, got {self.bandwidth_hz}")
         if self.freq_mhz <= 0:
             out.append(f"freq_mhz must be > 0, got {self.freq_mhz}")
         if not self.enabled_kinds:
@@ -127,7 +124,6 @@ class Aircraft:
     kind: AirframeKind
     distance_km: float
     power_dbm: float
-    address: int
 
 
 def _draw_distances(rng, n: int, radius_km: float, area_uniform: bool):
@@ -141,37 +137,21 @@ def _draw_distances(rng, n: int, radius_km: float, area_uniform: bool):
 def build_fleet(config: ScenarioConfig) -> list[Aircraft]:
     """Deterministically generate the aircraft population of a config.
 
-    Distances are uniform in d over (0, radius] per class (or uniform over
-    the disk area with ``area_uniform``), drawn from the fleet stream of the
-    config seed; addresses are sequential from a seed-derived 24-bit base.
+    Planes come first, then UAVs, and an aircraft's id is its position in the
+    fleet. Distances are uniform in d over (0, radius] per class (or uniform
+    over the disk area with ``area_uniform``), drawn class by class from the
+    fleet stream of the config seed.
     """
     config.validate()
     rng = fleet_rng(config.seed)
-    plane_d = _draw_distances(rng, config.n_planes, config.plane_radius_km, config.area_uniform)
-    uav_d = _draw_distances(rng, config.n_uavs, config.uav_radius_km, config.area_uniform)
-    base = int(rng.integers(0, 1 << 24))
+    classes = (
+        (AirframeKind.PLANE, config.n_planes, config.plane_radius_km, config.plane_power_dbm),
+        (AirframeKind.UAV, config.n_uavs, config.uav_radius_km, config.uav_power_dbm),
+    )
     fleet = []
-    for i in range(config.n_planes):
-        fleet.append(
-            Aircraft(
-                id=i,
-                kind=AirframeKind.PLANE,
-                distance_km=float(plane_d[i]),
-                power_dbm=config.plane_power_dbm,
-                address=(base + i) % (1 << 24),
-            )
-        )
-    for j in range(config.n_uavs):
-        i = config.n_planes + j
-        fleet.append(
-            Aircraft(
-                id=i,
-                kind=AirframeKind.UAV,
-                distance_km=float(uav_d[j]),
-                power_dbm=config.uav_power_dbm,
-                address=(base + i) % (1 << 24),
-            )
-        )
+    for kind, count, radius_km, power_dbm in classes:
+        for d in _draw_distances(rng, count, radius_km, config.area_uniform).tolist():
+            fleet.append(Aircraft(id=len(fleet), kind=kind, distance_km=d, power_dbm=power_dbm))
     return fleet
 
 

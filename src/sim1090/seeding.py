@@ -22,7 +22,7 @@ MAX_SEED = 2**64 - 1
 
 
 def fleet_rng(seed: int) -> np.random.Generator:
-    """Stream that draws aircraft distances and the address base."""
+    """Stream that draws aircraft distances."""
     return np.random.default_rng(np.random.SeedSequence((seed, _FLEET_TAG)))
 
 

@@ -14,6 +14,7 @@ own link state and the UAV class sits above the plane class.
 import itertools
 import json
 import math
+import statistics
 import time
 from dataclasses import replace
 
@@ -34,10 +35,13 @@ from sim1090.engine import run, run_replicated
 from sim1090.frames import AirframeKind, SquitterFrame, pack, unpack
 from sim1090.metrics import aloha_expected_ratio
 from sim1090.packets import KIND_INDEX, PacketKind
+from test_aloha import brute_force_collisions
 from test_metrics import failed_windows_from_runs
 
 TARGET_FIG5 = 0.4866
 N_REPS = 10
+#: the abstract's position-update probabilities within 3 s
+PAPER_UPDATE = {"fig6": 0.923, "fig7": 0.869}
 
 
 def report_line(criterion: str, ok: bool, detail: str) -> bool:
@@ -233,30 +237,40 @@ def test_criterion_5_update_probability_trend(fig4_result, fig5_result, fig6_res
     assert identity, "histogram-derived failure count disagrees with the direct window scan"
 
 
-def _brute_force_collision_flags(starts, ends, emitters):
-    n = starts.size
-    overlap = (starts[:, None] < ends[None, :]) & (starts[None, :] < ends[:, None])
-    np.fill_diagonal(overlap, False)
-    component = -np.ones(n, dtype=np.int64)
-    label = 0
-    for root in range(n):
-        if component[root] >= 0:
-            continue
-        stack = [root]
-        component[root] = label
-        while stack:
-            i = stack.pop()
-            for j in np.flatnonzero(overlap[i]):
-                if component[j] < 0:
-                    component[j] = label
-                    stack.append(j)
-        label += 1
-    killed = np.zeros(n, dtype=bool)
-    for c in range(label):
-        members = np.flatnonzero(component == c)
-        if np.unique(emitters[members]).size >= 2:
-            killed[members] = True
-    return killed
+def _update_probability_oracle(report):
+    # POS losses taken as independent: a tracked POS packet survives
+    # collisions with the unslotted-ALOHA probability (Abramson 1970) and is
+    # intact with the aircraft's good fraction, so a window of K consecutive
+    # POS packets fails with probability (1 - p)^K
+    cfg = report.config
+    p_bad = 0.0
+    if cfg.channel_errors_enabled:
+        state = aircraft_link_state([report.fleet[cfg.tracked_aircraft]], LinkBudget.from_config(cfg))
+        p_bad = 1.0 if state.below_sensitivity[0] else corruption_probability(
+            float(state.pe_bit[0]), PacketKind.POS, cfg.ber_mode
+        )
+    p = aloha_expected_ratio(cfg, PacketKind.POS) * (1.0 - p_bad)
+    return 1.0 - (1.0 - p) ** report.update.window_k
+
+
+def test_criterion_5_update_probability_matches_oracle(fig4_result, fig5_result, fig6_result, fig7_result):
+    # The per-replication gap follows one tracked aircraft at a random
+    # distance, so it is wide; its mean over the replications must lie within
+    # 3 standard errors of zero. The paper's values are printed, not asserted.
+    results = {"fig4": fig4_result, "fig5": fig5_result, "fig6": fig6_result, "fig7": fig7_result}
+    lines, off = [], []
+    for name, result in results.items():
+        gaps = [rep.update.probability - _update_probability_oracle(rep) for rep in result.reports]
+        mean = math.fsum(gaps) / len(gaps)
+        se = statistics.stdev(gaps) / math.sqrt(len(gaps))
+        lines.append(f"{name}: gap={mean:+.4f} se={se:.4f}")
+        if abs(mean) > 3.0 * se:
+            off.append(name)
+    for name, paper in PAPER_UPDATE.items():
+        mean = results[name].summary["update_probability"]["mean"]
+        lines.append(f"{name} mean={mean:.4f} paper={paper:.3f} ({(mean - paper) * 100:+.1f} pts)")
+    report_line("criterion 5 (update probability vs oracle)", not off, "; ".join(lines))
+    assert not off, f"mean gap to the update-probability oracle beyond 3 SE: {'; '.join(lines)}"
 
 
 def test_criterion_6_resolve_equals_brute_force():
@@ -274,7 +288,7 @@ def test_criterion_6_resolve_equals_brute_force():
             collision_mask(starts, durations, emitters), int(Verdict.LOST_COLLISION),
             np.where(corrupted, int(Verdict.LOST_CORRUPTED), int(Verdict.RECEIVED)),
         )
-        killed = _brute_force_collision_flags(starts, starts + durations, emitters)
+        killed = brute_force_collisions(starts, starts + durations, emitters)
         expected = np.where(
             killed, int(Verdict.LOST_COLLISION),
             np.where(corrupted, int(Verdict.LOST_CORRUPTED), int(Verdict.RECEIVED)),

@@ -22,14 +22,12 @@ def mask_of(packets):
 
 
 def brute_force_components(starts, ends):
-    """O(n^2) oracle: connected components of the pairwise-overlap graph."""
-    n = len(starts)
-    adjacency = [[] for _ in range(n)]
-    for i in range(n):
-        for j in range(i + 1, n):
-            if starts[i] < ends[j] and starts[j] < ends[i]:
-                adjacency[i].append(j)
-                adjacency[j].append(i)
+    """O(n^2) oracle: connected components of the pairwise-overlap graph,
+    numbered 0, 1, 2, ... by their first member in input order."""
+    starts, ends = np.asarray(starts), np.asarray(ends)
+    overlap = (starts[:, None] < ends[None, :]) & (starts[None, :] < ends[:, None])
+    np.fill_diagonal(overlap, False)
+    n = starts.size
     comp = [-1] * n
     current = 0
     for root in range(n):
@@ -39,7 +37,7 @@ def brute_force_components(starts, ends):
         comp[root] = current
         while stack:
             node = stack.pop()
-            for neighbour in adjacency[node]:
+            for neighbour in np.flatnonzero(overlap[node]).tolist():
                 if comp[neighbour] == -1:
                     comp[neighbour] = current
                     stack.append(neighbour)

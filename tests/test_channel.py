@@ -190,7 +190,7 @@ class TestLinkBudget:
 
 class TestClassify:
     def test_chain_for_edge_plane(self):
-        plane = Aircraft(0, AirframeKind.PLANE, 50.0, 44.0, 0)
+        plane = Aircraft(0, AirframeKind.PLANE, 50.0, 44.0)
         state = aircraft_link_state([plane], _link())
         assert state.rx_power_dbm[0] == pytest.approx(-83.168, abs=1e-3)
         assert not state.below_sensitivity[0]
@@ -198,7 +198,7 @@ class TestClassify:
         assert state.pe_bit[0] == pytest.approx(0.234681, abs=1e-5)
 
     def test_far_low_power_emitter_is_gated(self):
-        weak = Aircraft(0, AirframeKind.UAV, 40.0, 30.0, 0)
+        weak = Aircraft(0, AirframeKind.UAV, 40.0, 30.0)
         state = aircraft_link_state([weak], _link())
         assert state.rx_power_dbm[0] < -93.0
         assert state.below_sensitivity[0]
@@ -219,7 +219,7 @@ class TestClassify:
 
     def test_corruption_frequency_matches_probability(self):
         # 10^5 draws within 3 sigma binomial bounds of the chained Pe
-        plane = Aircraft(0, AirframeKind.PLANE, 50.0, 44.0, 0)
+        plane = Aircraft(0, AirframeKind.PLANE, 50.0, 44.0)
         pe = float(aircraft_link_state([plane], _link()).pe_bit[0])
         rng = channel_rng(8, 0)
         draws = rng.uniform(0.0, 1.0, 100_000)
@@ -243,8 +243,8 @@ class TestClassify:
         # the plane class: 10x distance costs 20 dB, the power gap is 14 dB
         link = _link()
         for q in (0.1, 0.5, 1.0):
-            plane = Aircraft(0, AirframeKind.PLANE, 50.0 * q, 44.0, 0)
-            uav = Aircraft(1, AirframeKind.UAV, 5.0 * q, 30.0, 1)
+            plane = Aircraft(0, AirframeKind.PLANE, 50.0 * q, 44.0)
+            uav = Aircraft(1, AirframeKind.UAV, 5.0 * q, 30.0)
             s_plane, s_uav = aircraft_link_state([plane, uav], link).rx_power_dbm
             assert s_uav - s_plane == pytest.approx(6.0, abs=1e-9)
 

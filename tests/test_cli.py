@@ -29,7 +29,7 @@ class TestRun:
     def test_json_smoke(self, tiny_scn, capsys):
         assert main(["run", "--scenario", str(tiny_scn), "--seed", "7", "--format", "json"]) == 0
         doc = json.loads(capsys.readouterr().out)
-        assert doc["schema"] == "sim1090/run-report/v1"
+        assert doc["schema"] == "sim1090/run-report/v2"
         assert doc["seed"] == 7
         assert 0.0 <= doc["received_ratio"] <= 1.0
 
@@ -210,8 +210,9 @@ class TestOutputBytesPinned:
     """SHA-256 of whole CLI outputs: every JSON and CSV shape the CLI writes.
 
     The hashes were taken before report formatting was gathered into
-    sim1090.report. A change that moves one must say which bytes moved and
-    why.
+    sim1090.report; the three run-JSON hashes were re-taken for run-report
+    v2 (see TestPinnedReports). A change that moves one must say which
+    bytes moved and why.
     """
 
     CASES = {
@@ -232,9 +233,9 @@ class TestOutputBytesPinned:
     }
 
     PINNED = {
-        "run-json": "7927bafd0e900b6d58d3fed2ed92069d053875a52295060e35d8e44330cab42e",
+        "run-json": "85f5b94839d08f75fd772edfaba498f6c231cdcab8201345cfca69e7f7982e35",
         "run-csv": "b965d37cbd212881fa7541b87193556717dfb8359c0e8d250f4bac99db62071f",
-        "run-short-json": "e34e77d9b0a94aadf0d4028e16dcb5a00522df3229f3f65a9f39bc5acffe783f",
+        "run-short-json": "f7d8ac08ede33df72e84443a0c5cda8aa75199262a31d88871c12c7a3f21003a",
         "run-short-csv": "1f6f979edd5549b4b3ee990852164f1484f5b69cfe0ade20815c2de0cd53c4ba",
         "run-reps-json": "a226c1775774e32712ff9f3e4b3d26ea137ad04a03a660f9bb3b6083b0e8f3e9",
         "run-reps-csv": "aa19ab63a4cbd51b5d5d6dca5e61684a1a581aa45aca71ffda4f79a522f8cc77",
@@ -242,7 +243,7 @@ class TestOutputBytesPinned:
         "sweep-float": "a0456760903031144e2b8c5e835d8f7186fc378ac16292819333fc43ee8cefe8",
         "calibrate-json": "54a11eb24ff725f376a21f41dd9f61f0727070762d1a5583279c707ba1e1e8e3",
         "calibrate-out": "025ab35e1ac830fed0f82ea6e3b9c4c5bffeecca6f93d553b894dc9d5d0fe54c",
-        "zero-run-json": "f9ffbb6cc65b1b8574edc810af940f6d9c8344a54a2afe0e2d955b62e7995d6d",
+        "zero-run-json": "fc5b324f27cbea073b5e2b7eab6f9e99a8446aa0d43d6dad6c06bb048bd74e3b",
         "zero-run-csv": "d03c335387822cf4f6fcf2aeabaa31aae1d5fd5b5a3572e08a66cc7c61c9bb60",
         "zero-run-reps-csv": "7d26c87ddbeb7606a31ca10522cd70763211ae65d4422f3226fbada2c355041f",
         "zero-sweep": "cfa89c898e915cadbcb6fb41b280bf17d08fb6bf2f20cc3fceaba7696e2c96e7",

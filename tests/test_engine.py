@@ -85,38 +85,41 @@ class TestPinnedReports:
     report byte for byte; a change that moves them must say which numbers
     moved and why. The two disabled-kind variants were pinned before the
     engine laid out all six kind blocks per aircraft whatever was enabled.
+    All of them were re-taken for run-report v2, which drops
+    ``config.bandwidth_hz`` and ``per_aircraft[].address``: each v2 report
+    equalled its v1 report with those keys deleted and the schema renamed.
     """
 
     PINNED = {
-        "fig4": "476d55ab33c68d1f1d341897b510d3bc04e8e27108a5f982af2684d2fab70895",
-        "fig3_200": "4869636dd1fd52ec994570f88e1b9fc6335ddf679baf2256c2c7e4b86326547a",
-        "fig7": "60ec05ec9fd95f801b344b13ad2a7b7d615805512e6b60ea542dc15f0b896b34",
+        "fig4": "813dcc66da20ed6763773a3ad5509f144b6209c3f734cc69df610cb6091e4ccd",
+        "fig3_200": "b83056ac04ead2a2f45d912f86d348cff371b0dd71a3e6c53f1de922da3610bd",
+        "fig7": "26718b3488fa679c2b70acec62a093447e6ab497676972e7c359e5b7450fbef7",
     }
 
     #: name -> (preset, overrides, hash)
     VARIANTS = {
         "fig6-per_bit-78dBm": (
             "fig6", {"ber_mode": "per_bit", "noise_floor_dbm": -78.0},
-            "f658fe63f7865b38f53798e02b6482b1b5bc608db44cfa2dab443f63590c8203",
+            "9633c3142bc7abe1e571558b270aa8acfa17f54dc15c4aa9c9c8662c3e588b55",
         ),
         "fig6-exact_eq4": (
             "fig6", {"ber_mode": "exact_eq4"},
-            "967f6294f73cbd9db5f90a4f844921c7cc26901e6b2fa10bfa5e4a8d80f8cda3",
+            "06c566867cce7aee2cbe3403364f5ac9589ff3beb1f8a5358c023e8ac9b022b3",
         ),
         # planes beyond about 127 km are gated, the tracked aircraft 5 among them
         "fig6-gated-tracked": (
             "fig6", {"plane_radius_km": 400.0, "noise_floor_dbm": -80.0, "tracked_aircraft": 5},
-            "8ebd77593beabb070b286b5d2fac58f1ec10897a60987bd204be4470e566db0e",
+            "e3b60b6ff115b16eb281cc5392d4fca334a100772c7b70aad0bbbc8852986c83",
         ),
         "all-gated": (
             "fig5", {"n_planes": 3, "plane_radius_km": 5000.0},
-            "3220915b92054aa61938d674372d6abae85f4d1f26e12152e3311d7a446643ef",
+            "f6ea680efa115c1b71d1d630b92eaaca75f6ffc5cda1abd8fa5a6a79ab77e8d6",
         ),
         # no POS block: tracked_pos_lost is empty and update is null
         "fig6-id-smag-80dBm": (
             "fig6",
             {"enabled_kinds": frozenset({PacketKind.ID, PacketKind.SMAG}), "noise_floor_dbm": -80.0},
-            "b19eeaead28f639ee39bf01f3544a71a04ab4d4fd687466b92df3198c09c4aa5",
+            "a6f4029b6f5d19dffbe633c884f5036fb1435eac7cd6bcfcb2d69dae4d51babe",
         ),
         # two of six kinds with the tracked aircraft gated
         "fig6-pos-tss-gated-tracked": (
@@ -127,7 +130,7 @@ class TestPinnedReports:
                 "plane_radius_km": 400.0,
                 "tracked_aircraft": 5,
             },
-            "2f48fb321497dc8e3f3ab0d4c44495793bf4081486d173e7b3ca70c2d279f37d",
+            "cc50d63b0136c95961265fcd97612c3e9b2d221e4fd490ea634690baedfb6148",
         ),
     }
 
@@ -359,7 +362,7 @@ class TestReportViews:
     def test_json_schema_field(self):
         cfg = ScenarioConfig(n_planes=1, duration_s=10.0, seed=2)
         doc = run(cfg).to_dict()
-        assert doc["schema"] == "sim1090/run-report/v1"
+        assert doc["schema"] == "sim1090/run-report/v2"
 
 
 @st.composite

@@ -175,7 +175,7 @@ class TestUpdateProbability:
 
 class TestDistanceBins:
     def test_single_plane_row(self):
-        fleet = [Aircraft(0, AirframeKind.PLANE, 10.0, 44.0, 0)]
+        fleet = [Aircraft(0, AirframeKind.PLANE, 10.0, 44.0)]
         rows = distance_binned_ratio(fleet, np.array([100]), np.array([62]))
         assert len(rows) == 1
         row = rows[0]
@@ -186,16 +186,16 @@ class TestDistanceBins:
 
     def test_classes_kept_separate(self):
         fleet = [
-            Aircraft(0, AirframeKind.PLANE, 4.0, 44.0, 0),
-            Aircraft(1, AirframeKind.UAV, 4.0, 30.0, 1),
+            Aircraft(0, AirframeKind.PLANE, 4.0, 44.0),
+            Aircraft(1, AirframeKind.UAV, 4.0, 30.0),
         ]
         rows = distance_binned_ratio(fleet, np.array([10, 10]), np.array([5, 7]))
         assert {r.aircraft_class for r in rows} == {AirframeKind.PLANE, AirframeKind.UAV}
 
     def test_empty_bins_omitted(self):
         fleet = [
-            Aircraft(0, AirframeKind.PLANE, 1.0, 44.0, 0),
-            Aircraft(1, AirframeKind.PLANE, 49.0, 44.0, 1),
+            Aircraft(0, AirframeKind.PLANE, 1.0, 44.0),
+            Aircraft(1, AirframeKind.PLANE, 49.0, 44.0),
         ]
         rows = distance_binned_ratio(fleet, np.array([10, 10]), np.array([9, 3]))
         assert len(rows) == 2

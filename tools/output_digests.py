@@ -1,0 +1,79 @@
+"""Print one ``name sha256`` line per output a refactor must keep byte for byte.
+
+The outputs are:
+
+- ``run`` JSON and CSV of every bundled preset at its own seed and at seeds
+  1 and 130363 (``run-<preset>-s<seed>.json`` / ``.csv``);
+- the command of each benchmark workload at ``--seed 130363``, its stdout
+  and its ``--out`` file joined by a NUL byte, so calibrate's stdout line
+  is covered (``bench-<workload>``);
+- the stdout of each demo (``demo-<name>``).
+
+Usage, from the root of a source checkout::
+
+    python3 tools/output_digests.py > digests.txt
+
+Run it at two commits and ``diff`` the two files. Output files go to a
+temporary directory that is removed on exit; the whole run takes well under a
+minute on a 2-core host.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import hashlib
+import io
+import os
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
+
+from sim1090 import cli  # noqa: E402
+from workloads import WORKLOADS  # noqa: E402
+
+#: the benchmark's held-out seed, also used for the preset runs
+BENCH_SEED = 130363
+
+
+def cli_output(argv: list[str], out: Path | None = None) -> bytes:
+    """Stdout of one in-process CLI command, then NUL and its --out file if any."""
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        code = cli.main(argv)
+    if code != 0:
+        raise SystemExit(f"exit code {code}: {' '.join(argv)}")
+    data = buf.getvalue().encode()
+    return data if out is None else data + b"\0" + out.read_bytes()
+
+
+def outputs(tmp: Path):
+    """(name, bytes) of every covered output, in a fixed order."""
+    for path in sorted((ROOT / "src" / "sim1090" / "presets").glob("*.scn")):
+        preset = path.stem
+        for seed in sorted({cli.load_preset(path.name).seed, 1, BENCH_SEED}):
+            for fmt in ("json", "csv"):
+                argv = ["run", "--scenario", preset, "--seed", str(seed), "--format", fmt]
+                yield f"run-{preset}-s{seed}.{fmt}", cli_output(argv)
+    for name, workload in WORKLOADS.items():
+        out = tmp / f"{name}.out"
+        yield f"bench-{name}", cli_output(workload.argv(BENCH_SEED, str(out)), out)
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    for demo in sorted((ROOT / "demos").glob("*.py")):
+        proc = subprocess.run([sys.executable, str(demo)], cwd=tmp, env=env,
+                              capture_output=True, check=True)
+        yield f"demo-{demo.stem}", proc.stdout
+
+
+def main() -> int:
+    with tempfile.TemporaryDirectory(prefix="sim1090-digests-") as tmp:
+        for name, data in outputs(Path(tmp)):
+            print(f"{name} {hashlib.sha256(data).hexdigest()}", flush=True)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
