@@ -41,15 +41,17 @@ def _preset_names() -> list[str]:
     return sorted(p.name for p in _presets_dir().iterdir() if p.name.endswith(".scn"))
 
 
-def _resolve_scenario(path_text: str) -> ScenarioConfig:
-    """Load a scenario from a path, falling back to the bundled presets."""
-    path = Path(path_text)
+def _resolve_scenario(args) -> ScenarioConfig:
+    """Load --scenario from a path or else a bundled preset; apply --seed."""
+    path = Path(args.scenario)
+    name = args.scenario if args.scenario.endswith(".scn") else args.scenario + ".scn"
     if path.is_file():
-        return load_scenario(path)
-    name = path_text if path_text.endswith(".scn") else path_text + ".scn"
-    if name in _preset_names():
-        return load_preset(name)
-    raise FileNotFoundError(f"scenario not found: {path_text}")
+        config = load_scenario(path)
+    elif name in _preset_names():
+        config = load_preset(name)
+    else:
+        raise FileNotFoundError(f"scenario not found: {args.scenario}")
+    return config if args.seed is None else config.with_overrides(seed=args.seed)
 
 
 def load_preset(name: str) -> ScenarioConfig:
@@ -70,9 +72,7 @@ def _write_output(text: str, out: str | None) -> None:
 
 
 def cmd_run(args) -> int:
-    config = _resolve_scenario(args.scenario)
-    if args.seed is not None:
-        config = config.with_overrides(seed=args.seed)
+    config = _resolve_scenario(args)
     if args.reps == 1:
         report = run(config)
         text = json_text(report.to_dict()) if args.format == "json" else report.to_csv()
@@ -87,9 +87,7 @@ def cmd_run(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    base = _resolve_scenario(args.scenario)
-    if args.seed is not None:
-        base = base.with_overrides(seed=args.seed)
+    base = _resolve_scenario(args)
     if args.param not in SWEEP_PARAMS:
         raise ValidationError(
             [f"unknown sweep parameter {args.param!r}; valid: {', '.join(sorted(SWEEP_PARAMS))}"]
@@ -117,9 +115,7 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_calibrate(args) -> int:
-    base = _resolve_scenario(args.scenario)
-    if args.seed is not None:
-        base = base.with_overrides(seed=args.seed)
+    base = _resolve_scenario(args)
     result = calibrate_noise_floor(args.target, base, n_reps=args.reps)
     _write_output(json_text(calibration_dict(result)), args.out)
     if args.out is not None:

@@ -85,12 +85,6 @@ class RunReport:
     def verdict_total(self, verdict: Verdict) -> int:
         return int(self.counts[:, :, verdict].sum())
 
-    def generated_by_aircraft(self) -> np.ndarray:
-        return self.counts.sum(axis=(1, 2))
-
-    def received_by_aircraft(self) -> np.ndarray:
-        return self.counts[:, :, Verdict.RECEIVED].sum(axis=1)
-
     def class_ratio(self, cls: AirframeKind) -> float | None:
         ids = [a.id for a in self.fleet if a.kind is cls]
         if not ids:
@@ -102,8 +96,8 @@ class RunReport:
     def distance_bins(self, bin_width_km: float = 2.5) -> list[metrics.DistanceBin]:
         return metrics.distance_binned_ratio(
             list(self.fleet),
-            self.generated_by_aircraft(),
-            self.received_by_aircraft(),
+            self.counts.sum(axis=(1, 2)),
+            self.counts[:, :, Verdict.RECEIVED].sum(axis=1),
             bin_width_km,
         )
 

@@ -63,8 +63,8 @@ def update_probability(outcomes, deadline_s: float) -> UpdateProbabilityResult:
     generation slots; a window fails iff all K packets in it were lost, and
     the probability is 1 - failed/total over all N-K+1 sliding windows.
     """
-    if deadline_s <= 0:
-        raise ValueError(f"deadline_s must be > 0, got {deadline_s}")
+    if not 0 < deadline_s < math.inf:
+        raise ValueError(f"deadline_s must be finite and > 0, got {deadline_s}")
     lost = ~np.asarray(outcomes, dtype=bool)
     k = math.ceil(deadline_s / SCHEDULES[PacketKind.POS].mean_interval_s)
     n = lost.size
@@ -106,8 +106,8 @@ def distance_binned_ratio(
     bin_width_km: float = 2.5,
 ) -> list[DistanceBin]:
     """Per-class received ratio by distance bin; empty bins are omitted."""
-    if bin_width_km <= 0:
-        raise ValueError(f"bin_width_km must be > 0, got {bin_width_km}")
+    if not 0 < bin_width_km < math.inf:
+        raise ValueError(f"bin_width_km must be finite and > 0, got {bin_width_km}")
     rows: list[DistanceBin] = []
     for cls in AirframeKind:
         members = [a for a in fleet if a.kind is cls]
@@ -175,8 +175,11 @@ class CalibrationResult:
     achieved_ratio: float
     target_ratio: float
     n_reps: int
-    iterations: int
     evaluations: tuple[tuple[float, float], ...]
+
+    @property
+    def iterations(self) -> int:
+        return len(self.evaluations)
 
 
 def calibrate_noise_floor(
@@ -187,7 +190,8 @@ def calibrate_noise_floor(
 ) -> CalibrationResult:
     """Bisect the noise floor until the replicated mean received ratio
     matches the target within CALIBRATION_TOL_POINTS percentage points, in
-    at most CALIBRATION_MAX_EVALS evaluations.
+    at most CALIBRATION_MAX_EVALS evaluations: the quiet end, the loud end,
+    then midpoints.
 
     Every evaluation reuses the same replication seeds, which makes the
     measured ratio exactly non-increasing in the floor; monotonicity is
@@ -203,43 +207,34 @@ def calibrate_noise_floor(
         raise ValueError(f"bracket must be (quiet, loud) with quiet < loud, got {bracket}")
     tol = CALIBRATION_TOL_POINTS / 100.0
     evaluations: list[tuple[float, float]] = []
-
-    def mean_ratio(floor: float) -> float:
+    while len(evaluations) < CALIBRATION_MAX_EVALS:
+        floor = bracket[len(evaluations)] if len(evaluations) < 2 else 0.5 * (quiet + loud)
         cfg = base_config.with_overrides(noise_floor_dbm=floor, channel_errors_enabled=True)
-        result = run_replicated(cfg, n_reps)
-        if "received_ratio" not in result.summary:
+        summary = run_replicated(cfg, n_reps).summary
+        if "received_ratio" not in summary:
             raise CalibrationError("the scenario generates no packets, so it has no received ratio")
-        ratio = result.summary["received_ratio"]["mean"]
+        ratio = summary["received_ratio"]["mean"]
+        # earlier evaluations are pairwise monotone: a violation involves this one
+        for earlier in evaluations:
+            (f_a, r_a), (f_b, r_b) = sorted([earlier, (floor, ratio)])
+            if f_a < f_b and r_a < r_b:
+                raise CalibrationError(
+                    f"received ratio is not monotone in the noise floor: "
+                    f"ratio({f_a})={r_a:.6f} < ratio({f_b})={r_b:.6f}"
+                )
         evaluations.append((floor, ratio))
-        for (f_a, r_a) in evaluations:
-            for (f_b, r_b) in evaluations:
-                if f_a < f_b and r_a < r_b:
-                    raise CalibrationError(
-                        f"received ratio is not monotone in the noise floor: "
-                        f"ratio({f_a})={r_a:.6f} < ratio({f_b})={r_b:.6f}"
-                    )
-        return ratio
-
-    r_quiet = mean_ratio(quiet)
-    if abs(r_quiet - target_ratio) <= tol:
-        return CalibrationResult(quiet, r_quiet, target_ratio, n_reps, 1, tuple(evaluations))
-    r_loud = mean_ratio(loud)
-    if abs(r_loud - target_ratio) <= tol:
-        return CalibrationResult(loud, r_loud, target_ratio, n_reps, 2, tuple(evaluations))
-    if not (r_loud < target_ratio < r_quiet):
-        raise CalibrationError(
-            f"target ratio {target_ratio:.4f} unreachable in bracket "
-            f"[{quiet}, {loud}] dBm: ratio({quiet})={r_quiet:.4f}, ratio({loud})={r_loud:.4f}"
-        )
-    for iteration in range(3, CALIBRATION_MAX_EVALS + 1):
-        mid = 0.5 * (quiet + loud)
-        r_mid = mean_ratio(mid)
-        if abs(r_mid - target_ratio) <= tol:
-            return CalibrationResult(mid, r_mid, target_ratio, n_reps, iteration, tuple(evaluations))
-        if r_mid > target_ratio:
-            quiet = mid  # still too quiet: move toward the loud end
+        if abs(ratio - target_ratio) <= tol:
+            return CalibrationResult(floor, ratio, target_ratio, n_reps, tuple(evaluations))
+        if len(evaluations) == 2 and not ratio < target_ratio < evaluations[0][1]:
+            (f_q, r_q), (f_l, r_l) = evaluations
+            raise CalibrationError(
+                f"target ratio {target_ratio:.4f} unreachable in bracket "
+                f"[{f_q}, {f_l}] dBm: ratio({f_q})={r_q:.4f}, ratio({f_l})={r_l:.4f}"
+            )
+        if ratio > target_ratio:
+            quiet = floor  # still too quiet: move toward the loud end
         else:
-            loud = mid
+            loud = floor
     raise CalibrationError(
         f"no floor within {CALIBRATION_TOL_POINTS} points of {target_ratio:.4f} "
         f"after {CALIBRATION_MAX_EVALS} evaluations (bracket narrowed to [{quiet}, {loud}])"

@@ -13,9 +13,11 @@ import json
 from dataclasses import asdict
 from typing import TYPE_CHECKING
 
+import numpy as np
+
 from .aloha import Verdict
 from .frames import AirframeKind
-from .packets import KIND_INDEX, KIND_ORDER
+from .packets import KIND_ORDER
 
 if TYPE_CHECKING:
     from .engine import ReplicationResult, RunReport
@@ -68,10 +70,10 @@ def json_bytes(doc: dict) -> bytes:
 # --- one run ---
 
 
-def verdict_row(tally) -> list[int]:
-    """A count array whose last axis is the verdict, as VERDICT_COLUMNS."""
-    per_verdict = tally.reshape(-1, len(Verdict)).sum(axis=0)
-    return [int(per_verdict.sum()), *(int(n) for n in per_verdict)]
+def verdict_rows(counts) -> list:
+    """A count array whose last axis is the verdict as nested lists of
+    VERDICT_COLUMNS rows: each tally with its total prepended."""
+    return np.concatenate((counts.sum(axis=-1, keepdims=True), counts), axis=-1).tolist()
 
 
 def distance_bin_rows(report: RunReport) -> list[tuple]:
@@ -92,12 +94,12 @@ def run_dict(report: RunReport) -> dict:
         "generated": report.generated_total,
         "received": report.received_total,
         "received_ratio": fmt6(report.received_ratio),
-        "verdict_totals": dict(zip(VERDICT_COLUMNS[1:], verdict_row(report.counts)[1:])),
+        "verdict_totals": dict(zip(VERDICT_COLUMNS[1:], report.counts.sum(axis=(0, 1)).tolist())),
         "per_class": {str(cls): fmt6(report.class_ratio(cls)) for cls in AirframeKind},
         "per_aircraft": [
             {"id": a.id, "class": str(a.kind), "distance_km": fmt6(a.distance_km),
-             **dict(zip(VERDICT_COLUMNS, verdict_row(report.counts[a.id])))}
-            for a in report.fleet
+             **dict(zip(VERDICT_COLUMNS, row))}
+            for a, row in zip(report.fleet, verdict_rows(report.counts.sum(axis=1)))
         ],
         "tracked_aircraft": cfg.tracked_aircraft,
         "pos_loss_runs": {str(k): v for k, v in sorted(report.pos_loss_runs.items())},
@@ -120,19 +122,18 @@ def run_csv(report: RunReport) -> str:
             (f"update_{key}", doc["update_probability"][key])
             for key in ("probability", "window_k", "failed_windows", "total_windows")
         ]
-    outcomes = []
-    for a in report.fleet:
-        for kind in KIND_ORDER:
-            row = verdict_row(report.counts[a.id, KIND_INDEX[kind]])
-            if row[0]:
-                outcomes.append((a.id, str(a.kind), fmt6(a.distance_km), str(kind), *row))
+    outcomes = [
+        (a["id"], a["class"], a["distance_km"], str(kind), *row)
+        for a, cells in zip(doc["per_aircraft"], verdict_rows(report.counts))
+        for kind, row in zip(KIND_ORDER, cells)
+        if row[0]
+    ]
     return csv_text([
         ("run-summary", ("key", "value"), summary),
         ("aircraft-outcomes", ("aircraft_id", "class", "distance_km", "kind", *VERDICT_COLUMNS),
          outcomes),
-        ("pos-loss-runs", ("consecutive_losses", "occurrences"),
-         sorted(report.pos_loss_runs.items())),
-        ("distance-bins", DISTANCE_BIN_COLUMNS, distance_bin_rows(report)),
+        ("pos-loss-runs", ("consecutive_losses", "occurrences"), doc["pos_loss_runs"].items()),
+        ("distance-bins", DISTANCE_BIN_COLUMNS, [b.values() for b in doc["distance_bins"]]),
     ])
 
 

@@ -206,6 +206,28 @@ class TestCalibrate:
         assert abs(doc["achieved_ratio"] - target) <= 0.005 + 1e-6
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        "run --format csv",
+        "sweep --param n_planes --values 2,5 --reps 2",
+        "calibrate --target 0.7 --reps 1",
+    ],
+)
+def test_seed_flag_equals_seed_in_file(argv, tmp_path, capsys):
+    """--seed S and a scenario file that sets seed = S give the same bytes."""
+    command, *args = argv.split()
+    flagged, seeded = tmp_path / "flagged.scn", tmp_path / "seeded.scn"
+    flagged.write_text(TINY)
+    seeded.write_text(TINY.replace("seed = 3", "seed = 11"))
+    assert main([command, "--scenario", str(flagged), "--seed", "11", *args]) == 0
+    with_flag = capsys.readouterr().out
+    assert main([command, "--scenario", str(seeded), *args]) == 0
+    assert capsys.readouterr().out == with_flag
+    assert main([command, "--scenario", str(flagged), *args]) == 0
+    assert capsys.readouterr().out != with_flag
+
+
 class TestOutputBytesPinned:
     """SHA-256 of whole CLI outputs: every JSON and CSV shape the CLI writes.
 

@@ -17,7 +17,7 @@ from sim1090.engine import run, run_replicated, summarize_reports
 from sim1090.frames import AirframeKind
 from sim1090.metrics import aloha_expected_ratio
 from sim1090.packets import KIND_INDEX, KIND_ORDER, PacketKind, packet_duration_s
-from sim1090.report import replicated_csv, replicated_to_dict
+from sim1090.report import VERDICT_COLUMNS, replicated_csv, replicated_to_dict
 from sim1090.scenario import BER_MODES, ScenarioConfig, ValidationError, build_fleet
 from sim1090.seeding import channel_rng, replication_seed, traffic_rng
 from sim1090.traffic import emission_times
@@ -471,6 +471,24 @@ class TestJsonCsvAgree:
         assert {key for key, _ in rows} == set(expected)
         for key, cell in rows:
             assert cell == rendered(expected[key]), key
+
+        # the (aircraft, kind) cells: non-empty only, kinds in KIND_ORDER, and
+        # summed per aircraft they give the JSON per-aircraft rows
+        columns, *rows = sections["aircraft-outcomes"]
+        assert columns == ["aircraft_id", "class", "distance_km", "kind", *VERDICT_COLUMNS]
+        kind_positions, summed = {}, {}
+        for aircraft_id, cls, distance, kind, *tally in rows:
+            assert int(tally[0]) > 0
+            key = (aircraft_id, cls, distance)
+            kind_positions.setdefault(key, []).append([str(k) for k in KIND_ORDER].index(kind))
+            summed[key] = [a + int(b) for a, b in zip(summed.get(key, [0] * len(tally)), tally)]
+        assert all(p == sorted(set(p)) for p in kind_positions.values())
+        expected = {
+            (str(a["id"]), a["class"], rendered(a["distance_km"])): [a[c] for c in VERDICT_COLUMNS]
+            for a in doc["per_aircraft"]
+            if a["generated"]
+        }
+        assert list(summed.items()) == list(expected.items())
 
     @settings(max_examples=20, deadline=None)
     @given(cfg=small_configs(), n_reps=st.integers(1, 3))

@@ -1,6 +1,7 @@
 """Metric tests: ratios, loss runs, update windows, bins, calibration."""
 
 import itertools
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -169,8 +170,9 @@ class TestUpdateProbability:
             update_probability([True] * 5, deadline_s=3.0)
 
     def test_bad_deadline(self):
-        with pytest.raises(ValueError):
-            update_probability([True] * 10, deadline_s=0.0)
+        for deadline in (0.0, float("nan"), float("inf")):
+            with pytest.raises(ValueError, match="deadline_s"):
+                update_probability([True] * 10, deadline_s=deadline)
 
 
 class TestDistanceBins:
@@ -203,8 +205,10 @@ class TestDistanceBins:
         assert rows[1].center_km == pytest.approx(48.75)
 
     def test_bad_width(self):
-        with pytest.raises(ValueError):
-            distance_binned_ratio([], np.array([]), np.array([]), bin_width_km=0.0)
+        fleet = [Aircraft(0, AirframeKind.PLANE, 10.0, 44.0)]
+        for width in (0.0, float("nan"), float("inf")):
+            with pytest.raises(ValueError, match="bin_width_km"):
+                distance_binned_ratio(fleet, np.array([100]), np.array([62]), bin_width_km=width)
 
 
 class TestAnalyticAlohaRatio:
@@ -230,6 +234,20 @@ class TestAnalyticAlohaRatio:
         assert aloha_expected_ratio(cfg, PacketKind.SMAG) > aloha_expected_ratio(cfg, PacketKind.POS)
 
 
+def fake_engine(monkeypatch, ratio_of_floor) -> list[float]:
+    """Replace the engine's run_replicated with a replicated mean received
+    ratio computed by ratio_of_floor; return the floors it is called at."""
+    floors = []
+
+    def run_replicated(cfg, n_reps):
+        floors.append(cfg.noise_floor_dbm)
+        ratio = ratio_of_floor(cfg.noise_floor_dbm)
+        return SimpleNamespace(summary={"received_ratio": {"mean": ratio}})
+
+    monkeypatch.setattr("sim1090.engine.run_replicated", run_replicated)
+    return floors
+
+
 class TestCalibration:
     SMALL = ScenarioConfig(n_planes=20, duration_s=60.0, seed=9)
 
@@ -252,6 +270,7 @@ class TestCalibration:
         ratios = [r for _, r in result.evaluations]
         order = np.argsort(floors)
         assert all(np.diff(np.array(ratios)[order]) <= 1e-12)
+        assert result.iterations == len(result.evaluations)
 
     def test_quiet_end_returned_for_collision_only_target(self):
         from sim1090.engine import run_replicated
@@ -260,6 +279,56 @@ class TestCalibration:
         target = quiet.summary["received_ratio"]["mean"]
         result = calibrate_noise_floor(target, self.SMALL, n_reps=2)
         assert result.noise_floor_dbm == -120.0
+        assert result.iterations == len(result.evaluations) == 1
+
+    def test_loud_end_returned_after_quiet_end(self):
+        from sim1090.engine import run_replicated
+
+        loud = run_replicated(self.SMALL.with_overrides(noise_floor_dbm=-75.0), 2)
+        target = loud.summary["received_ratio"]["mean"]
+        result = calibrate_noise_floor(target, self.SMALL, n_reps=2)
+        assert result.noise_floor_dbm == -75.0
+        assert result.achieved_ratio == target
+        assert [f for f, _ in result.evaluations] == [-120.0, -75.0]
+        assert result.iterations == len(result.evaluations) == 2
+
+    @pytest.mark.parametrize(
+        "ratios, message",
+        [
+            # the loud end already breaks monotonicity
+            ({-120.0: 0.2, -75.0: 0.8}, "ratio(-120.0)=0.200000 < ratio(-75.0)=0.800000"),
+            # a midpoint below the loud end's ratio: the new floor is the quieter of the pair
+            ({-120.0: 0.9, -75.0: 0.1, -97.5: 0.05}, "ratio(-97.5)=0.050000 < ratio(-75.0)=0.100000"),
+            # a midpoint above two earlier, quieter floors: the first-evaluated one is named
+            (
+                {-120.0: 0.9, -75.0: 0.1, -97.5: 0.5, -86.25: 0.95},
+                "ratio(-120.0)=0.900000 < ratio(-86.25)=0.950000",
+            ),
+        ],
+    )
+    def test_non_monotone_ratio_names_the_pair(self, monkeypatch, ratios, message):
+        floors = fake_engine(monkeypatch, ratios.__getitem__)
+        with pytest.raises(CalibrationError) as err:
+            calibrate_noise_floor(0.3, self.SMALL, n_reps=2)
+        assert str(err.value) == f"received ratio is not monotone in the noise floor: {message}"
+        assert floors == list(ratios)
+
+    def test_step_ratio_runs_out_of_evaluations(self, monkeypatch):
+        floors = fake_engine(monkeypatch, lambda f: 0.9 if f < -100.0 else 0.1)
+        message = r"^no floor within 0\.5 points of 0\.5000 after 60 evaluations"
+        with pytest.raises(CalibrationError, match=message):
+            calibrate_noise_floor(0.5, self.SMALL, n_reps=2)
+        assert len(floors) == 60
+
+    def test_unreachable_target_message(self, monkeypatch):
+        floors = fake_engine(monkeypatch, lambda f: 0.9 if f < -100.0 else 0.6)
+        with pytest.raises(CalibrationError) as err:
+            calibrate_noise_floor(0.3, self.SMALL, n_reps=2)
+        assert str(err.value) == (
+            "target ratio 0.3000 unreachable in bracket [-120.0, -75.0] dBm: "
+            "ratio(-120.0)=0.9000, ratio(-75.0)=0.6000"
+        )
+        assert floors == [-120.0, -75.0]
 
     def test_bad_target_domain(self):
         with pytest.raises(ValueError):

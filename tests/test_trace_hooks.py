@@ -2,13 +2,17 @@
 
 perfbench/layers.py wraps sim1090 functions and methods by name and skips,
 with a warning, any name that no longer exists, so a rename would leave that
-benchmark layer reading zero. This test loads the benchmark's own modules by
-file path and fails on any missing hook.
+benchmark layer reading zero. These tests load the benchmark's own modules by
+file path and fail on any missing hook, or on a calibration whose evaluations
+the traced layer does not count.
 """
 
 import importlib.util
+import json
 import sys
 from pathlib import Path
+
+from sim1090.cli import main
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -20,12 +24,35 @@ def load(name):
     return module
 
 
-def test_every_trace_hook_is_found(monkeypatch):
+def load_tracing(monkeypatch):
     tracer = load("tracer")
     monkeypatch.setitem(sys.modules, "tracer", tracer)  # layers imports it by name
-    layers = load("layers")
+    return tracer, load("layers")
+
+
+def test_every_trace_hook_is_found(monkeypatch):
+    tracer, layers = load_tracing(monkeypatch)
     undo, missing = layers.install(tracer.Tracer())
     try:
         assert missing == []
     finally:
         layers.uninstall(undo)
+
+
+def test_calibrate_evaluations_are_counted(monkeypatch, tmp_path):
+    # the calibration looks run_replicated up in sim1090.engine at call time,
+    # which is where the benchmark hooks it
+    tracer, layers = load_tracing(monkeypatch)
+    scenario, out = tmp_path / "tiny.scn", tmp_path / "cal.json"
+    scenario.write_text("n_planes = 4\nn_uavs = 2\nduration_s = 30\nseed = 3\n")
+    trace = tracer.Tracer()
+    undo, _missing = layers.install(trace)
+    try:
+        argv = ["calibrate", "--scenario", str(scenario), "--target", "0.7", "--reps", "1"]
+        assert main([*argv, "--out", str(out)]) == 0
+    finally:
+        layers.uninstall(undo)
+    evaluations = json.loads(out.read_text())["iterations"]
+    assert evaluations > 2
+    metrics = layers.layer_metrics(trace.spans, trace.counters, 1, [0.0])
+    assert metrics["metrics.calibrate_evals"] == (evaluations, "count")
