@@ -15,7 +15,7 @@ import sys
 from importlib import resources
 from pathlib import Path
 
-from .engine import mean_std, run, run_replicated
+from .engine import ReplicationResult, run, run_replicated
 from .metrics import CalibrationError, calibrate_noise_floor
 from .report import (
     calibration_dict,
@@ -23,6 +23,7 @@ from .report import (
     json_text,
     replicated_csv,
     replicated_to_dict,
+    replication_rows,
     sweep_csv,
 )
 from .scenario import ScenarioConfig, ValidationError, load_scenario, loads_scenario, parse_value
@@ -100,15 +101,12 @@ def cmd_sweep(args) -> int:
         raise ValidationError([f"replications must be >= 1, got {args.reps}"])
 
     points, summaries = [], []
-    for value in values:
-        ratios = []
-        for rep in range(args.reps):
-            seed = stable_seed(base.seed, value, rep)
-            report = run(base.with_overrides(**{args.param: value}, seed=seed))
-            up = None if report.update is None else report.update.probability
-            points.append((value, rep, seed, report.received_ratio, up))
-            ratios.append(report.received_ratio)
-        s = {"mean": None, "std": None} if None in ratios else mean_std(ratios)
+    for value in values:  # formatted value by value, so reports never pile up across the sweep
+        config = base.with_overrides(**{args.param: value})
+        seeds = [stable_seed(base.seed, value, rep) for rep in range(args.reps)]
+        result = ReplicationResult(tuple(run(config.with_overrides(seed=seed)) for seed in seeds))
+        points += [(value, *row) for row in replication_rows(result)]
+        s = result.summary.get("received_ratio", {"mean": None, "std": None})
         summaries.append((value, args.reps, s["mean"], s["std"]))
     _write_output(sweep_csv(args.param, points, summaries), args.out)
     return 0
@@ -142,30 +140,26 @@ def build_parser() -> argparse.ArgumentParser:
         description="Monte Carlo simulator of the shared 1090 MHz surveillance broadcast channel",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    common = argparse.ArgumentParser(add_help=False)  # the options run, sweep and calibrate share
+    common.add_argument("--scenario", required=True, help="scenario file or bundled preset name")
+    common.add_argument("--seed", type=int, default=None, help="override the scenario seed")
+    common.add_argument("--out", default=None, help="output file (default: stdout)")
 
-    p_run = sub.add_parser("run", help="simulate one scenario")
-    p_run.add_argument("--scenario", required=True, help="scenario file or bundled preset name")
-    p_run.add_argument("--seed", type=int, default=None, help="override the scenario seed")
+    p_run = sub.add_parser("run", parents=[common], help="simulate one scenario")
     p_run.add_argument("--reps", type=int, default=1, help="independent replications")
     p_run.add_argument("--format", choices=("json", "csv"), default="json")
-    p_run.add_argument("--out", default=None, help="output file (default: stdout)")
     p_run.set_defaults(func=cmd_run)
 
-    p_sweep = sub.add_parser("sweep", help="sweep one config key over a value list")
-    p_sweep.add_argument("--scenario", required=True)
+    p_sweep = sub.add_parser("sweep", parents=[common], help="sweep one config key over a value list")
     p_sweep.add_argument("--param", required=True, help=f"one of: {', '.join(sorted(SWEEP_PARAMS))}")
     p_sweep.add_argument("--values", required=True, help="comma-separated values")
     p_sweep.add_argument("--reps", type=int, default=1)
-    p_sweep.add_argument("--seed", type=int, default=None)
-    p_sweep.add_argument("--out", default=None)
     p_sweep.set_defaults(func=cmd_sweep)
 
-    p_cal = sub.add_parser("calibrate", help="find the noise floor matching a target received ratio")
-    p_cal.add_argument("--scenario", required=True)
+    p_cal = sub.add_parser("calibrate", parents=[common],
+                           help="find the noise floor matching a target received ratio")
     p_cal.add_argument("--target", type=float, required=True, help="target received ratio in (0, 1)")
     p_cal.add_argument("--reps", type=int, default=10)
-    p_cal.add_argument("--seed", type=int, default=None)
-    p_cal.add_argument("--out", default=None)
     p_cal.set_defaults(func=cmd_calibrate)
 
     p_presets = sub.add_parser("presets", help="list bundled scenarios")

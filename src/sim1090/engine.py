@@ -154,7 +154,6 @@ def run(config: ScenarioConfig) -> RunReport:
 
     generated = np.array(generated, dtype=np.int64).reshape(n_aircraft, _N_KINDS)
     sizes = (generated * audible[:, None]).ravel()
-    offsets = np.concatenate(([0], np.cumsum(sizes)))
     start = np.concatenate(starts or [_NO_PACKETS])
     bad = np.concatenate(bad) if bad else np.zeros(start.size, dtype=bool)
 
@@ -164,23 +163,16 @@ def run(config: ScenarioConfig) -> RunReport:
     start = start[order]
     block = np.repeat(np.arange(sizes.size, dtype=np.int32), sizes)[order]
     duration = np.tile(_BLOCK_DURATION, n_aircraft)[block]
-    hit = np.empty(start.size, dtype=bool)
-    hit[order] = collision_mask(start, duration, block // _N_KINDS)
+    # one verdict code per packet in start order; collision outranks corruption
+    code = bad[order].view(np.int8) * np.int8(Verdict.LOST_CORRUPTED)
+    del order  # freed before the collision resolve, where a run peaks in memory
+    code[collision_mask(start, duration, block // _N_KINDS)] = Verdict.LOST_COLLISION
 
-    # collision outranks corruption; each verdict is counted from its own
-    # mask, never as a remainder, so the conservation check below can fail
-    received = ~(hit | bad)
-    filled = sizes > 0
-    first = offsets[:-1][filled]
-    counts = np.zeros((n_aircraft, _N_KINDS, _N_VERDICTS), dtype=np.int64)
-    for verdict, mask in (
-        (Verdict.RECEIVED, received),
-        (Verdict.LOST_COLLISION, hit),
-        (Verdict.LOST_CORRUPTED, bad & ~hit),
-    ):
-        per_block = np.zeros(sizes.size, dtype=np.int64)
-        per_block[filled] = np.add.reduceat(mask, first, dtype=np.int64)
-        counts[:, :, verdict] = per_block.reshape(n_aircraft, _N_KINDS)
+    # one (aircraft, kind, verdict) tally over the key block * n_verdicts + code
+    key = block.astype(np.intp)
+    key *= _N_VERDICTS
+    key += code
+    counts = np.bincount(key, minlength=sizes.size * _N_VERDICTS).reshape(n_aircraft, _N_KINDS, _N_VERDICTS)
     counts[~audible, :, Verdict.LOST_BELOW_SENSITIVITY] = generated[~audible]
 
     # conservation: the verdict partition must reproduce the generated tallies
@@ -190,8 +182,7 @@ def run(config: ScenarioConfig) -> RunReport:
     tracked = config.tracked_aircraft
     pos = KIND_INDEX[PacketKind.POS]
     if audible[tracked]:
-        b = tracked * _N_KINDS + pos
-        tracked_pos_lost = ~received[offsets[b]:offsets[b + 1]]
+        tracked_pos_lost = code[block == tracked * _N_KINDS + pos] != Verdict.RECEIVED
     else:
         tracked_pos_lost = np.ones(generated[tracked, pos], dtype=bool)
     pos_hist = metrics.loss_run_histogram(~tracked_pos_lost)
@@ -216,10 +207,13 @@ def run(config: ScenarioConfig) -> RunReport:
 
 @dataclass(frozen=True)
 class ReplicationResult:
-    """Reports of independent replications plus order-independent summary."""
+    """Reports of independent replications, and their summary (see summarize_reports)."""
 
     reports: tuple[RunReport, ...]
-    summary: dict[str, dict[str, float]]
+
+    @property
+    def summary(self) -> dict[str, dict[str, float]]:
+        return summarize_reports(self.reports)
 
 
 def summarize_reports(reports) -> dict[str, dict[str, float]]:
@@ -249,8 +243,6 @@ def run_replicated(config: ScenarioConfig, n_reps: int) -> ReplicationResult:
     if n_reps < 1:
         raise ValueError(f"n_reps must be >= 1, got {n_reps}")
     config.validate()
-    reports = tuple(
-        run(config.with_overrides(seed=replication_seed(config.seed, k)))
-        for k in range(n_reps)
-    )
-    return ReplicationResult(reports=reports, summary=summarize_reports(reports))
+    return ReplicationResult(tuple(
+        run(config.with_overrides(seed=replication_seed(config.seed, k))) for k in range(n_reps)
+    ))

@@ -171,11 +171,11 @@ def replicated_csv(result: ReplicationResult) -> str:
 
 
 def sweep_csv(param: str, points, summaries) -> str:
-    """Points (value, rep, seed, received_ratio, update_probability) and
-    per-value summaries (value, reps, mean, std) of a sweep over ``param``.
-    The value cell is the parsed value's str, not rounded."""
+    """Points (value, *replication row) and per-value summaries (value, reps,
+    mean, std) of a sweep over ``param``. The value cell is the parsed value's
+    str, not rounded."""
     return csv_text([
-        ("sweep-points", ("param", "value", "rep", "seed", "received_ratio", "update_probability"),
+        ("sweep-points", ("param", "value", *REPLICATION_COLUMNS),
          [(param, str(v), *rest) for v, *rest in points]),
         ("sweep-summary", ("param", "value", "reps", "mean_received_ratio", "std_received_ratio"),
          [(param, str(v), *rest) for v, *rest in summaries]),

@@ -12,6 +12,7 @@ Every key except ``n_planes`` has a default. Example::
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, fields, replace
 from typing import Iterable
 
@@ -34,6 +35,14 @@ class ValidationError(ValueError):
     def __init__(self, problems: Iterable[str]):
         self.problems = list(problems)
         super().__init__("; ".join(self.problems))
+
+
+def _has_declared_type(value, declared: str) -> bool:
+    # numbers take no bool, and only a bool field takes one
+    if declared == "frozenset[PacketKind]":
+        return isinstance(value, frozenset) and all(isinstance(k, PacketKind) for k in value)
+    cls = {"int": numbers.Integral, "float": numbers.Real, "bool": bool, "str": str}[declared]
+    return isinstance(value, cls) and isinstance(value, bool) == (declared == "bool")
 
 
 @dataclass(frozen=True)
@@ -60,6 +69,10 @@ class ScenarioConfig:
 
     def problems(self) -> list[str]:
         """All invariant violations, empty when the config is valid."""
+        out = [f"{f.name} must be {f.type}, got {getattr(self, f.name)!r}"
+               for f in fields(self) if not _has_declared_type(getattr(self, f.name), f.type)]
+        if out:  # values are checked once every field holds its declared type
+            return out
         out = [
             f"{f.name} must be finite, got {getattr(self, f.name)}"
             for f in fields(self)

@@ -173,12 +173,13 @@ def _class_blind_prediction(report, cls):
     return aloha_expected_ratio(cfg) * good / generated
 
 
-def test_criterion_4_uav_class_below_plane_class(fig5_result, fig6_result, fig7_result):
-    # The name is kept for a stable acceptance ID; the check is the class
-    # relation the documented model determines. A UAV at the same radius
-    # quantile as a plane receives (30 - 44) + 20 lg(50 / 5) = +6 dB (14 dB
-    # less power, 20 dB less path loss), the error rate falls as SNR rises,
-    # and unslotted ALOHA without capture ignores class. So each class's
+def test_criterion_4_class_ratios_at_class_blind_prediction_uav_above_plane(
+    fig5_result, fig6_result, fig7_result
+):
+    # The class relation the documented model determines. A UAV at the same
+    # radius quantile as a plane receives (30 - 44) + 20 lg(50 / 5) = +6 dB
+    # (14 dB less power, 20 dB less path loss), the error rate falls as SNR
+    # rises, and unslotted ALOHA without capture ignores class. So each class's
     # ratio is the class-blind survival times its own good fraction, and the
     # UAV class sits above the plane class at every noise floor. The former
     # direction (UAVs below planes) cannot come out of this model and no

@@ -14,6 +14,8 @@ TINY = "n_planes = 4\nn_uavs = 2\nduration_s = 30\nseed = 3\n"
 TINY_NO_ERRORS = "n_planes = 4\nduration_s = 30\nchannel_errors_enabled = false\nseed = 3\n"
 # valid, but the horizon ends before the first ID squitter: zero packets
 NO_PACKETS = "n_planes = 4\nduration_s = 0.1\nenabled_kinds = ID\nseed = 3\n"
+# valid; some replications draw one ID squitter before the horizon, some none
+SOME_PACKETS = "n_planes = 1\nenabled_kinds = ID\nduration_s = 5\nseed = 3\n"
 # too few POS packets for a 3 s window: no update probability
 SHORT = "n_planes = 3\nduration_s = 2\nseed = 3\n"
 
@@ -142,6 +144,23 @@ class TestSweep:
         points, summary = capsys.readouterr().out.split("# sim1090 sweep-summary v1")
         assert all(row.endswith(",,") for row in points.strip().splitlines()[2:])
         assert summary.strip().splitlines()[1:] == ["n_planes,2,2,,", "n_planes,3,2,,"]
+
+    def test_partly_empty_value_has_empty_summary_cells(self, tmp_path, capsys):
+        # a value whose replications are only partly empty has an undefined
+        # mean, as in the summary of run --reps on the same scenario
+        path = tmp_path / "some.scn"
+        path.write_text(SOME_PACKETS)
+        assert main([
+            "sweep", "--scenario", str(path), "--param", "n_planes", "--values", "1,2", "--reps", "4",
+        ]) == 0
+        points, summary = capsys.readouterr().out.split("# sim1090 sweep-summary v1")
+        ratios = [row.split(",")[4] for row in points.strip().splitlines()[2:]]
+        assert ratios == ["", "", "1", "", "", "0.5", "1", ""]
+        assert summary.strip().splitlines()[1:] == ["n_planes,1,4,,", "n_planes,2,4,,"]
+        assert main(["run", "--scenario", str(path), "--reps", "4"]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert "received_ratio" not in doc["summary"]
+        assert {row["received_ratio"] for row in doc["replications"]} == {None, 1}
 
     def test_unknown_parameter_lists_valid_keys(self, tiny_scn, capsys):
         assert main([

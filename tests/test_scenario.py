@@ -187,6 +187,22 @@ class TestValidation:
         with pytest.raises(ValidationError, match="noise_floor_dbm must be finite"):
             loads_scenario("n_planes = 2\nnoise_floor_dbm = nan\n")
 
+    @pytest.mark.parametrize("key, value", [
+        ("channel_errors_enabled", "no"),
+        ("enabled_kinds", frozenset({"POS"})),
+        ("duration_s", "5"),
+        ("n_planes", 2.5),
+        ("n_planes", True),
+        ("seed", 1.5),
+        ("tracked_aircraft", 0.5),
+    ])
+    def test_value_of_wrong_type_rejected(self, key, value):
+        # a string, a bool as a number or a float as a count is one problem
+        # naming its key, never a crash or a config that runs
+        with pytest.raises(ValidationError) as err:
+            ScenarioConfig(**{"n_planes": 2, key: value}).validate()
+        assert len(err.value.problems) == 1 and err.value.problems[0].startswith(f"{key} must be ")
+
 
 class TestBuildFleet:
     def test_plane_only_fleet(self):

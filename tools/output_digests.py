@@ -4,6 +4,10 @@ The outputs are:
 
 - ``run`` JSON and CSV of every bundled preset at its own seed and at seeds
   1 and 130363 (``run-<preset>-s<seed>.json`` / ``.csv``);
+- ``run --reps 3 --format csv`` of every bundled preset at its own seed
+  (``run-<preset>-reps3.csv``);
+- one float-valued sweep with replications on a preset with channel errors
+  (``sweep-fig6-noise_floor_dbm``);
 - the command of each benchmark workload at ``--seed 130363``, its stdout
   and its ``--out`` file joined by a NUL byte, so calibrate's stdout line
   is covered (``bench-<workload>``);
@@ -58,6 +62,11 @@ def outputs(tmp: Path):
             for fmt in ("json", "csv"):
                 argv = ["run", "--scenario", preset, "--seed", str(seed), "--format", fmt]
                 yield f"run-{preset}-s{seed}.{fmt}", cli_output(argv)
+        argv = ["run", "--scenario", preset, "--reps", "3", "--format", "csv"]
+        yield f"run-{preset}-reps3.csv", cli_output(argv)
+    argv = ["sweep", "--scenario", "fig6", "--param", "noise_floor_dbm", "--values=-85,-80",
+            "--reps", "2"]
+    yield "sweep-fig6-noise_floor_dbm", cli_output(argv)
     for name, workload in WORKLOADS.items():
         out = tmp / f"{name}.out"
         yield f"bench-{name}", cli_output(workload.argv(BENCH_SEED, str(out)), out)
