@@ -75,13 +75,10 @@ def passes_sensitivity(s_dbm, a_dbm):
 
 
 def snr_linear(s_dbm, n_dbm):
-    """Linear signal-to-noise power ratio from dBm inputs.
-
-    Each element is raised with the C library's pow, as a scalar is: numpy's
-    vectorised power can differ from it in the last bit.
-    """
-    exponent = (np.asarray(s_dbm, dtype=float) - n_dbm) / 10.0
-    out = np.reshape([10.0 ** x for x in exponent.ravel().tolist()], exponent.shape)
+    """Linear signal-to-noise power ratio from dBm inputs; a ratio past the
+    float range is inf."""
+    with np.errstate(over="ignore"):
+        out = np.power(10.0, (np.asarray(s_dbm, dtype=float) - n_dbm) / 10.0)
     return float(out) if out.ndim == 0 else out
 
 
@@ -123,6 +120,8 @@ def ber_mpsk_exact(r: float, m: int = 8) -> float:
         raise ValueError(f"snr ratio must be >= 0, got {r}")
     if m < 2:
         raise ValueError(f"psk order must be >= 2, got {m}")
+    if r == math.inf:
+        return 0.0  # the limit; the integrand is NaN there
     with warnings.catch_warnings():
         warnings.simplefilter("error", integrate.IntegrationWarning)
         try:
@@ -148,18 +147,18 @@ def bit_error_rate(r, link: LinkBudget):
     return ber_mpsk_approx(r, PSK_ORDER)
 
 
-def corruption_probability(pe_bit: float, kind: PacketKind, mode: str) -> float:
-    """Probability that one packet of `kind` is recorded bad.
+def corruption_probability(pe_bit, kind: PacketKind, mode: str):
+    """Probability that one packet of `kind` is recorded bad, elementwise over `pe_bit`.
 
     The good/bad draw modes use Pe directly; per_bit scales by packet length.
     """
-    if not 0.0 <= pe_bit <= 1.0:
+    pe = np.asarray(pe_bit, dtype=float)
+    if not np.all((pe >= 0.0) & (pe <= 1.0)):
         raise ValueError(f"pe_bit must be in [0, 1], got {pe_bit}")
     if mode not in BER_MODES:
         raise ValueError(f"unknown ber mode {mode!r}")
-    if mode == "per_bit":
-        return 1.0 - (1.0 - pe_bit) ** on_air_bits(kind)
-    return pe_bit
+    out = 1.0 - np.power(1.0 - pe, on_air_bits(kind)) if mode == "per_bit" else pe
+    return float(out) if out.ndim == 0 else out
 
 
 class LinkState(NamedTuple):

@@ -126,10 +126,7 @@ def run(config: ScenarioConfig) -> RunReport:
     if errors_on:
         state = aircraft_link_state(fleet, link)
         audible = ~state.below_sensitivity
-        p_good = [
-            [1.0 - corruption_probability(pe, kind, link.ber_mode) for kind in KIND_ORDER]
-            for pe in state.pe_bit.tolist()
-        ]
+        p_good = np.stack([1.0 - corruption_probability(state.pe_bit, k, link.ber_mode) for k in KIND_ORDER], axis=1)
 
     # one block of packets per (aircraft, kind in KIND_ORDER), aircraft-major
     # and in time order within a block; a disabled kind (None here) has an

@@ -191,7 +191,7 @@ def calibrate_noise_floor(
     """Bisect the noise floor until the replicated mean received ratio
     matches the target within CALIBRATION_TOL_POINTS percentage points, in
     at most CALIBRATION_MAX_EVALS evaluations: the quiet end, the loud end,
-    then midpoints.
+    then midpoints, until a midpoint repeats an end.
 
     Every evaluation reuses the same replication seeds, which makes the
     measured ratio exactly non-increasing in the floor; monotonicity is
@@ -206,27 +206,28 @@ def calibrate_noise_floor(
     if quiet >= loud:
         raise ValueError(f"bracket must be (quiet, loud) with quiet < loud, got {bracket}")
     tol = CALIBRATION_TOL_POINTS / 100.0
-    evaluations: list[tuple[float, float]] = []
-    while len(evaluations) < CALIBRATION_MAX_EVALS:
-        floor = bracket[len(evaluations)] if len(evaluations) < 2 else 0.5 * (quiet + loud)
+    evaluations: dict[float, float] = {}  # floor -> ratio, in evaluation order
+    floor = quiet
+    # a midpoint equal to an end means the ends are adjacent doubles
+    while len(evaluations) < CALIBRATION_MAX_EVALS and floor not in evaluations:
         cfg = base_config.with_overrides(noise_floor_dbm=floor, channel_errors_enabled=True)
         summary = run_replicated(cfg, n_reps).summary
         if "received_ratio" not in summary:
             raise CalibrationError("the scenario generates no packets, so it has no received ratio")
         ratio = summary["received_ratio"]["mean"]
         # earlier evaluations are pairwise monotone: a violation involves this one
-        for earlier in evaluations:
+        for earlier in evaluations.items():
             (f_a, r_a), (f_b, r_b) = sorted([earlier, (floor, ratio)])
             if f_a < f_b and r_a < r_b:
                 raise CalibrationError(
                     f"received ratio is not monotone in the noise floor: "
                     f"ratio({f_a})={r_a:.6f} < ratio({f_b})={r_b:.6f}"
                 )
-        evaluations.append((floor, ratio))
+        evaluations[floor] = ratio
         if abs(ratio - target_ratio) <= tol:
-            return CalibrationResult(floor, ratio, target_ratio, n_reps, tuple(evaluations))
-        if len(evaluations) == 2 and not ratio < target_ratio < evaluations[0][1]:
-            (f_q, r_q), (f_l, r_l) = evaluations
+            return CalibrationResult(floor, ratio, target_ratio, n_reps, tuple(evaluations.items()))
+        if len(evaluations) == 2 and not ratio < target_ratio < evaluations[quiet]:
+            (f_q, r_q), (f_l, r_l) = evaluations.items()
             raise CalibrationError(
                 f"target ratio {target_ratio:.4f} unreachable in bracket "
                 f"[{f_q}, {f_l}] dBm: ratio({f_q})={r_q:.4f}, ratio({f_l})={r_l:.4f}"
@@ -235,7 +236,8 @@ def calibrate_noise_floor(
             quiet = floor  # still too quiet: move toward the loud end
         else:
             loud = floor
+        floor = bracket[1] if len(evaluations) == 1 else 0.5 * (quiet + loud)
     raise CalibrationError(
-        f"no floor within {CALIBRATION_TOL_POINTS} points of {target_ratio:.4f} "
-        f"after {CALIBRATION_MAX_EVALS} evaluations (bracket narrowed to [{quiet}, {loud}])"
+        f"no floor within {CALIBRATION_TOL_POINTS} points of {target_ratio:.4f} after {len(evaluations)} "
+        f"evaluations: ratio({quiet})={evaluations[quiet]:.4f}, ratio({loud})={evaluations[loud]:.4f}"
     )

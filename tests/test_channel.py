@@ -31,7 +31,7 @@ from sim1090.channel import (
 )
 from sim1090.cli import load_preset
 from sim1090.engine import run
-from sim1090.packets import PacketKind
+from sim1090.packets import KIND_ORDER, PacketKind
 from sim1090.scenario import Aircraft, ScenarioConfig, build_fleet
 from sim1090.seeding import channel_rng
 from sim1090.frames import AirframeKind
@@ -138,8 +138,9 @@ class TestBerExact:
             assert ber_mpsk_exact(r, 2) == pytest.approx(0.5 * erfc(math.sqrt(r)), rel=1e-8)
 
     def test_high_snr_asymptote(self):
-        # at high SNR the integral approaches erfc(sqrt(r) sin(pi/M))
-        for r in (50.0, 100.0):
+        # at high SNR the integral approaches erfc(sqrt(r) sin(pi/M)); at
+        # r = inf both are their limit 0
+        for r in (50.0, 100.0, math.inf):
             asymptote = erfc(math.sqrt(r) * math.sin(math.pi / 8))
             assert ber_mpsk_exact(r, 8) == pytest.approx(asymptote, rel=1e-4)
 
@@ -156,7 +157,8 @@ class TestBerExact:
 class TestCorruptionProbability:
     def test_zero_is_zero_in_every_mode(self):
         for mode in ("approx_eq5", "exact_eq4", "per_bit"):
-            assert corruption_probability(0.0, PacketKind.POS, mode) == 0.0
+            out = corruption_probability(0.0, PacketKind.POS, mode)
+            assert out == 0.0 and type(out) is float
 
     def test_packet_level_modes_pass_through(self):
         assert corruption_probability(0.0548, PacketKind.POS, "approx_eq5") == 0.0548
@@ -175,6 +177,9 @@ class TestCorruptionProbability:
             corruption_probability(1.5, PacketKind.POS, "approx_eq5")
         with pytest.raises(ValueError):
             corruption_probability(0.5, PacketKind.POS, "bogus")
+        for bad in ([0.1, math.nan], [0.1, 1.5]):
+            with pytest.raises(ValueError, match="pe_bit must be in"):
+                corruption_probability(np.array(bad), PacketKind.POS, "per_bit")
 
 
 def _link(noise=-90.0, mode="approx_eq5"):
@@ -261,8 +266,9 @@ class TestFleetIntegration:
             load_preset("fig5.scn"),
             load_preset("fig7.scn"),
             ScenarioConfig(n_planes=6, n_uavs=3, seed=4, plane_radius_km=200.0, noise_floor_dbm=-80.0, ber_mode="exact_eq4"),
+            load_preset("fig6.scn").with_overrides(noise_floor_dbm=-78.0, ber_mode="per_bit"),
         ],
-        ids=["fig5", "fig7", "exact_eq4"],
+        ids=["fig5", "fig7", "exact_eq4", "per_bit"],
     )
     def test_fleet_arrays_equal_scalar_chain(self, cfg):
         # equal, not approximately equal: the engine's verdicts compare
@@ -270,11 +276,15 @@ class TestFleetIntegration:
         link = LinkBudget.from_config(cfg)
         fleet = build_fleet(cfg)
         state = aircraft_link_state(fleet, link)
+        p_bad = {k: corruption_probability(state.pe_bit, k, link.ber_mode) for k in KIND_ORDER}
         for a in fleet:
             s = received_power_dbm(a.power_dbm, path_loss_db(a.distance_km, link.freq_mhz))
             assert state.rx_power_dbm[a.id] == s
             assert state.below_sensitivity[a.id] == (not passes_sensitivity(s, link.sensitivity_dbm))
-            assert state.pe_bit[a.id] == bit_error_rate(snr_linear(s, link.noise_floor_dbm), link)
+            pe = bit_error_rate(snr_linear(s, link.noise_floor_dbm), link)
+            assert state.pe_bit[a.id] == pe
+            for k in KIND_ORDER:
+                assert p_bad[k][a.id] == corruption_probability(pe, k, link.ber_mode)
 
 
 def test_cli_import_leaves_out_scipy_integrate():

@@ -4,6 +4,7 @@ equivalence with a per-packet reference, property tests over small configs
 summaries."""
 
 import hashlib
+import warnings
 
 import numpy as np
 import pytest
@@ -72,6 +73,19 @@ class TestRunBasics:
     def test_update_window_uses_deadline(self):
         cfg = ScenarioConfig(n_planes=2, duration_s=120.0, seed=1, deadline_s=6.0)
         assert run(cfg).update.window_k == 12
+
+    @pytest.mark.parametrize("mode", BER_MODES)
+    def test_noise_floor_past_float_range_corrupts_nothing(self, mode):
+        # at -4000 dBm the linear SNR is past the float range: r = inf and
+        # Pe = 0 in every BER mode
+        cfg = ScenarioConfig(n_planes=20, n_uavs=5, duration_s=30.0, seed=3, noise_floor_dbm=-4000.0, ber_mode=mode)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            report = run(cfg)
+        generated = run(cfg.with_overrides(channel_errors_enabled=False)).counts.sum(axis=2)
+        assert generated.sum() > 0
+        assert np.array_equal(report.counts.sum(axis=2), generated)
+        assert report.verdict_total(Verdict.LOST_CORRUPTED) == 0
 
 
 class TestPinnedReports:

@@ -10,6 +10,7 @@ from sim1090.aloha import Verdict
 from sim1090.engine import RunReport
 from sim1090.frames import AirframeKind
 from sim1090.metrics import (
+    CALIBRATION_MAX_EVALS,
     CalibrationError,
     InsufficientDataError,
     aloha_expected_ratio,
@@ -313,12 +314,20 @@ class TestCalibration:
         assert str(err.value) == f"received ratio is not monotone in the noise floor: {message}"
         assert floors == list(ratios)
 
-    def test_step_ratio_runs_out_of_evaluations(self, monkeypatch):
+    def test_step_ratio_stops_at_adjacent_floors(self, monkeypatch):
+        # the ratio steps across the target between two adjacent doubles: the
+        # bisection stops there, without evaluating any floor twice
         floors = fake_engine(monkeypatch, lambda f: 0.9 if f < -100.0 else 0.1)
-        message = r"^no floor within 0\.5 points of 0\.5000 after 60 evaluations"
-        with pytest.raises(CalibrationError, match=message):
+        with pytest.raises(CalibrationError) as err:
             calibrate_noise_floor(0.5, self.SMALL, n_reps=2)
-        assert len(floors) == 60
+        assert len(set(floors)) == len(floors) < CALIBRATION_MAX_EVALS
+        quiet = max(f for f in floors if f < -100.0)
+        loud = min(f for f in floors if f >= -100.0)
+        assert np.nextafter(quiet, 0.0) == loud
+        assert str(err.value) == (
+            f"no floor within 0.5 points of 0.5000 after {len(floors)} evaluations: "
+            f"ratio({quiet})=0.9000, ratio({loud})=0.1000"
+        )
 
     def test_unreachable_target_message(self, monkeypatch):
         floors = fake_engine(monkeypatch, lambda f: 0.9 if f < -100.0 else 0.6)

@@ -11,7 +11,11 @@ The outputs are:
 - the command of each benchmark workload at ``--seed 130363``, its stdout
   and its ``--out`` file joined by a NUL byte, so calibrate's stdout line
   is covered (``bench-<workload>``);
-- the stdout of each demo (``demo-<name>``).
+- the stdout of each demo (``demo-<name>``);
+- ``run`` JSON of fig6 in the two BER modes no preset uses: ``per_bit`` at a
+  -78 dBm floor and ``exact_eq4`` at the preset floor
+  (``run-fig6-<mode>.json``). Their scenario files are written to the
+  temporary directory.
 
 Usage, from the root of a source checkout::
 
@@ -41,6 +45,8 @@ from workloads import WORKLOADS  # noqa: E402
 
 #: the benchmark's held-out seed, also used for the preset runs
 BENCH_SEED = 130363
+#: keys added to fig6 for each BER mode that no preset uses
+BER_MODE_VARIANTS = {"per_bit": "noise_floor_dbm = -78\n", "exact_eq4": ""}
 
 
 def cli_output(argv: list[str], out: Path | None = None) -> bytes:
@@ -75,6 +81,11 @@ def outputs(tmp: Path):
         proc = subprocess.run([sys.executable, str(demo)], cwd=tmp, env=env,
                               capture_output=True, check=True)
         yield f"demo-{demo.stem}", proc.stdout
+    fig6 = (ROOT / "src" / "sim1090" / "presets" / "fig6.scn").read_text(encoding="utf-8")
+    for mode, extra in BER_MODE_VARIANTS.items():
+        path = tmp / f"fig6-{mode}.scn"
+        path.write_text(f"{fig6}ber_mode = {mode}\n{extra}", encoding="utf-8")
+        yield f"run-fig6-{mode}.json", cli_output(["run", "--scenario", str(path)])
 
 
 def main() -> int:
