@@ -15,7 +15,6 @@ from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
 import numpy as np
-from scipy.special import erfc, ndtr
 
 from .packets import PacketKind, on_air_bits
 from .scenario import BER_MODES, Aircraft, ScenarioConfig
@@ -23,6 +22,10 @@ from .scenario import BER_MODES, Aircraft, ScenarioConfig
 
 #: modulation order M of the M-PSK bit-error model
 PSK_ORDER = 8
+
+# math.erfc elementwise: a fleet holds a few hundred aircraft, and importing
+# scipy.special for its erfc would cost every command a quarter second
+_erfc = np.frompyfunc(math.erfc, 1, 1)
 
 
 class QuadratureError(RuntimeError):
@@ -89,20 +92,21 @@ def ber_mpsk_approx(r, m: int = 8):
     ``ber_mpsk_exact`` evaluates; the two agree to within 0.003 for r >= 2.
     """
     r = np.asarray(r, dtype=float)
-    if np.any(r < 0):
+    if not np.all(r >= 0):
         raise ValueError("snr ratio must be >= 0")
     if m < 2:
         raise ValueError(f"psk order must be >= 2, got {m}")
-    out = np.clip(erfc(np.sqrt(r) * math.sin(math.pi / m)), 0.0, 1.0)
+    out = np.clip(np.asarray(_erfc(np.sqrt(r) * math.sin(math.pi / m)), dtype=float), 0.0, 1.0)
     return float(out) if out.ndim == 0 else out
 
 
 def _phase_error_density(theta: float, r: float) -> float:
-    # density of the received-phase error at offset theta for linear SNR r
+    # density of the received-phase error at offset theta for linear SNR r;
+    # 0.5 * erfc(-sqrt(r) * c) is the normal CDF at sqrt(2r) * c
     c = math.cos(theta)
     return (
         math.exp(-r)
-        + math.sqrt(4.0 * math.pi * r) * c * math.exp(-r * math.sin(theta) ** 2) * ndtr(math.sqrt(2.0 * r) * c)
+        + math.sqrt(4.0 * math.pi * r) * c * math.exp(-r * math.sin(theta) ** 2) * 0.5 * math.erfc(-math.sqrt(r) * c)
     ) / (2.0 * math.pi)
 
 
@@ -113,10 +117,10 @@ def ber_mpsk_exact(r: float, m: int = 8) -> float:
     region |theta| > pi/M (the complement form avoids cancellation at high
     SNR). Absolute tolerance 1e-6; non-convergence raises QuadratureError.
     """
-    # imported here: no preset uses this mode, and scipy.integrate is slow to import
+    # imported here: no preset uses this mode, and scipy is slow to import
     from scipy import integrate
 
-    if r < 0:
+    if not r >= 0:
         raise ValueError(f"snr ratio must be >= 0, got {r}")
     if m < 2:
         raise ValueError(f"psk order must be >= 2, got {m}")
