@@ -27,34 +27,25 @@ class Verdict(enum.IntEnum):
         return self.name.lower()
 
 
-def cluster_ids(starts: np.ndarray, ends: np.ndarray) -> np.ndarray:
-    """Cluster index per packet for start-sorted half-open intervals.
+def collision_mask(starts: np.ndarray, durations: np.ndarray, emitters: np.ndarray) -> np.ndarray:
+    """True for every packet whose overlap cluster spans at least two emitters.
 
-    A packet joins the current cluster while its start precedes the running
-    maximum end; otherwise it opens a new cluster.
+    Packets are sorted by start. Packet j + 1 continues packet j's cluster iff it
+    starts before the running maximum end; a run of consecutive such j is one cluster.
     """
     starts = np.asarray(starts, dtype=float)
-    ends = np.asarray(ends, dtype=float)
-    if starts.size == 0:
-        return np.empty(0, dtype=np.int64)
+    emitters = np.asarray(emitters)
     if np.any(starts[1:] < starts[:-1]):
         raise ValueError("transmissions must be sorted by start time")
-    running_end = np.maximum.accumulate(ends)
-    new_cluster = np.empty(starts.size, dtype=bool)
-    new_cluster[0] = True
-    new_cluster[1:] = starts[1:] >= running_end[:-1]
-    return np.cumsum(new_cluster) - 1
-
-
-def collision_mask(starts: np.ndarray, durations: np.ndarray, emitters: np.ndarray) -> np.ndarray:
-    """True for every packet whose cluster spans at least two emitters."""
-    starts = np.asarray(starts, dtype=float)
-    emitters = np.asarray(emitters)
-    ids = cluster_ids(starts, starts + np.asarray(durations, dtype=float))
-    if ids.size == 0:
-        return np.empty(0, dtype=bool)
-    # a cluster spans two emitters iff two neighbours inside it differ
-    mixed = np.zeros(int(ids[-1]) + 1, dtype=bool)
-    mixed[ids[1:][(emitters[1:] != emitters[:-1]) & (ids[1:] == ids[:-1])]] = True
-    return mixed[ids]
-
+    running_end = np.maximum.accumulate(starts + np.asarray(durations, dtype=float))
+    # the running maximum carries a NaN start or duration to its last element
+    if np.isnan(running_end[-1:]).any():
+        raise ValueError("transmission starts and durations must not be NaN")
+    j = np.flatnonzero(starts[1:] < running_end[:-1])
+    cluster = np.cumsum(np.diff(j, prepend=-2) != 1) - 1
+    # a cluster is mixed iff one of its pairs has two different emitters
+    mixed = np.bincount(cluster, weights=emitters[j] != emitters[j + 1]) > 0
+    j = j[mixed[cluster]]
+    hit = np.zeros(starts.size, dtype=bool)
+    hit[j] = hit[j + 1] = True
+    return hit

@@ -1,10 +1,10 @@
 """Per-aircraft packet emission timelines.
 
 Each enabled packet kind recurs with a gap drawn uniformly from its shaking
-interval; the first emission phase is itself one such gap past t=0, so a
-fleet is unsynchronised from the start. Timelines are a pure function of
-the per-aircraft traffic stream: the engine draws each aircraft's kinds
-from that stream in KIND_ORDER.
+interval [lo, hi]. The first emission is one such gap past t=0, so a fleet
+starts with its phases of a kind inside that window, not spread over the
+interval. Timelines are a pure function of the per-aircraft traffic stream:
+the engine draws each aircraft's kinds from that stream in KIND_ORDER.
 """
 
 from __future__ import annotations

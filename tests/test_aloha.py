@@ -1,6 +1,7 @@
 """Receiver-side collision resolution against a brute-force pairwise oracle,
 and the verdict rule of the engine: corruption never changes a collision."""
 
+import math
 import random
 
 import numpy as np
@@ -8,7 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from sim1090.aloha import Verdict, cluster_ids, collision_mask
+from sim1090.aloha import Verdict, collision_mask
 from sim1090.engine import run
 from sim1090.scenario import ScenarioConfig
 
@@ -112,29 +113,28 @@ class TestResolveExamples:
         hit = collision_mask(np.empty(0), np.empty(0), np.empty(0, dtype=np.int64))
         assert hit.dtype == bool and hit.size == 0
 
+    @pytest.mark.parametrize(
+        "packets",
+        [
+            [(0, 120, 1), (math.nan, 120, 2), (10, 120, 3)],  # NaN start
+            [(0, 120, 1), (1000, math.nan, 2), (2000, 120, 3)],  # NaN duration
+            [(math.nan, 120, 1)],  # a lone NaN packet
+        ],
+    )
+    def test_nan_rejected(self, packets):
+        with pytest.raises(ValueError, match="NaN"):
+            mask_of(packets)
+
 
 class TestClusters:
     def test_transitive_chain(self):
-        starts = np.array([0, 100, 200]) * US
-        assert cluster_ids(starts, starts + 120 * US).tolist() == [0, 0, 0]
+        # the first and last packets are disjoint, but the middle one joins them
+        chain = [(0, 120, 1), (100, 120, 1), (200, 120, 2)]
+        assert mask_of(chain) == [True] * 3
+        assert mask_of([(start, length, 1) for start, length, _ in chain]) == [False] * 3
 
     def test_disjoint_singletons(self):
-        starts = np.array([0, 1_000_000]) * US
-        assert cluster_ids(starts, starts + 120 * US).tolist() == [0, 1]
-
-    def test_clusters_partition_input(self):
-        # one id per packet, numbered 0, 1, 2, ... in start order
-        starts, durations, _, _ = random_instance(np.random.default_rng(5), 400, 0.05)
-        ids = cluster_ids(starts, starts + durations)
-        assert ids.size == starts.size and ids[0] == 0
-        assert set(np.diff(ids).tolist()) <= {0, 1}
-
-    def test_matches_brute_force_components(self):
-        rng = np.random.default_rng(17)
-        for n, span in ((50, 0.002), (200, 0.02), (400, 0.04), (300, 1.0)):
-            starts, durations, _, _ = random_instance(rng, n, span)
-            ids = cluster_ids(starts, starts + durations)
-            assert list(ids) == brute_force_components(starts, starts + durations)
+        assert mask_of([(0, 120, 1), (1_000_000, 120, 2)]) == [False, False]
 
 
 class TestResolveProperties:
@@ -142,8 +142,8 @@ class TestResolveProperties:
         starts, durations, emitters, corrupted = random_instance(np.random.default_rng(23), 500, 0.05)
         hit = collision_mask(starts, durations, emitters)
         # a cluster loses every member or none
-        ids = cluster_ids(starts, starts + durations)
-        assert np.array_equal(hit, np.bincount(ids, weights=hit)[ids] > 0)
+        comp = np.array(brute_force_components(starts, starts + durations))
+        assert np.array_equal(hit, np.bincount(comp, weights=hit)[comp] > 0)
         verdict = np.where(
             hit, int(Verdict.LOST_COLLISION),
             np.where(corrupted, int(Verdict.LOST_CORRUPTED), int(Verdict.RECEIVED)),
@@ -154,9 +154,13 @@ class TestResolveProperties:
 
     def test_collision_verdicts_match_brute_force(self):
         rng = np.random.default_rng(31)
-        for _ in range(30):
-            n = int(rng.integers(2, 300))
-            starts, durations, emitters, _ = random_instance(rng, n, float(rng.uniform(0.001, 0.1)))
+        instances = [random_instance(rng, int(rng.integers(2, 300)), float(rng.uniform(0.001, 0.1)))
+                     for _ in range(30)]
+        # long clusters in dense spans, and mostly singletons in a 1 s span
+        rng = np.random.default_rng(17)
+        instances += [random_instance(rng, n, span) for n, span in ((50, 0.002), (200, 0.02), (400, 0.04), (300, 1.0))]
+        instances.append(random_instance(np.random.default_rng(5), 400, 0.05))
+        for starts, durations, emitters, _ in instances:
             expected_hit = brute_force_collisions(starts, starts + durations, emitters)
             assert list(collision_mask(starts, durations, emitters)) == expected_hit
 

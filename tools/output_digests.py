@@ -14,8 +14,12 @@ The outputs are:
 - the stdout of each demo (``demo-<name>``);
 - ``run`` JSON of fig6 in the two BER modes no preset uses: ``per_bit`` at a
   -78 dBm floor and ``exact_eq4`` at the preset floor
-  (``run-fig6-<mode>.json``). Their scenario files are written to the
-  temporary directory.
+  (``run-fig6-<mode>.json``);
+- ``run`` JSON of a collision-only fleet of 150 planes that send only the
+  slow kinds AOS, ID and TSS for 30 s (``run-slow-kinds.json``).
+
+The scenario files of the last two items are written to the temporary
+directory.
 
 Usage, from the root of a source checkout::
 
@@ -47,6 +51,15 @@ from workloads import WORKLOADS  # noqa: E402
 BENCH_SEED = 130363
 #: keys added to fig6 for each BER mode that no preset uses
 BER_MODE_VARIANTS = {"per_bit": "noise_floor_dbm = -78\n", "exact_eq4": ""}
+#: no other output covers a run of these kinds alone; it is the output that
+#: drawing each kind's first emission over one whole interval would move
+SLOW_KINDS = """n_planes = 150
+n_uavs = 0
+enabled_kinds = AOS,ID,TSS
+channel_errors_enabled = false
+duration_s = 30
+seed = 1
+"""
 
 
 def cli_output(argv: list[str], out: Path | None = None) -> bytes:
@@ -86,6 +99,9 @@ def outputs(tmp: Path):
         path = tmp / f"fig6-{mode}.scn"
         path.write_text(f"{fig6}ber_mode = {mode}\n{extra}", encoding="utf-8")
         yield f"run-fig6-{mode}.json", cli_output(["run", "--scenario", str(path)])
+    path = tmp / "slow-kinds.scn"
+    path.write_text(SLOW_KINDS, encoding="utf-8")
+    yield "run-slow-kinds.json", cli_output(["run", "--scenario", str(path)])
 
 
 def main() -> int:
