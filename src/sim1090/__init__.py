@@ -32,7 +32,6 @@ from .metrics import (
 )
 from .packets import EmissionSchedule, PacketKind, SCHEDULES, on_air_bits, packet_duration_s
 from .scenario import (
-    Aircraft,
     ScenarioConfig,
     ValidationError,
     build_fleet,
@@ -43,7 +42,6 @@ from .scenario import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "Aircraft",
     "AirframeKind",
     "CalibrationError",
     "CalibrationResult",

@@ -12,12 +12,12 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from typing import NamedTuple, Sequence
+from typing import NamedTuple
 
 import numpy as np
 
 from .packets import PacketKind, on_air_bits
-from .scenario import BER_MODES, Aircraft, ScenarioConfig
+from .scenario import BER_MODES, ScenarioConfig
 
 
 #: modulation order M of the M-PSK bit-error model
@@ -174,11 +174,10 @@ class LinkState(NamedTuple):
     pe_bit: np.ndarray
 
 
-def aircraft_link_state(fleet: Sequence[Aircraft], link: LinkBudget) -> LinkState:
-    """Chain loss -> received power -> sensitivity gate -> SNR -> Pe over a fleet."""
-    distance = np.array([a.distance_km for a in fleet], dtype=float)
-    power = np.array([a.power_dbm for a in fleet], dtype=float)
-    s = received_power_dbm(power, path_loss_db(distance, link.freq_mhz))
+def aircraft_link_state(distance_km, power_dbm, link: LinkBudget) -> LinkState:
+    """Chain loss -> received power -> sensitivity gate -> SNR -> Pe over a
+    fleet's distance and transmit power columns."""
+    s = received_power_dbm(np.asarray(power_dbm, dtype=float), path_loss_db(distance_km, link.freq_mhz))
     r = snr_linear(s, link.noise_floor_dbm)
     return LinkState(
         rx_power_dbm=s,

@@ -29,7 +29,7 @@ from .channel import LinkBudget, aircraft_link_state, corruption_probability
 from .frames import AirframeKind
 from .packets import KIND_INDEX, KIND_ORDER, PacketKind, packet_duration_s
 from .report import json_bytes, run_csv, run_dict
-from .scenario import Aircraft, ScenarioConfig, build_fleet
+from .scenario import CLASSES, ScenarioConfig, build_fleet
 from .seeding import channel_rng, replication_seed, traffic_rng
 from .traffic import emission_times
 
@@ -57,7 +57,8 @@ class RunReport:
     """
 
     config: ScenarioConfig
-    fleet: tuple[Aircraft, ...]
+    #: one record per aircraft, indexed by id (see scenario.build_fleet)
+    fleet: np.recarray = field(repr=False)
     #: int64 tally of shape (n_aircraft, n_kinds, n_verdicts)
     counts: np.ndarray = field(repr=False)
     pos_loss_runs: dict[int, int]
@@ -86,16 +87,13 @@ class RunReport:
         return int(self.counts[:, :, verdict].sum())
 
     def class_ratio(self, cls: AirframeKind) -> float | None:
-        ids = [a.id for a in self.fleet if a.kind is cls]
-        if not ids:
-            return None
-        gen = int(self.counts[ids].sum())
-        rec = int(self.counts[ids][:, :, Verdict.RECEIVED].sum())
-        return rec / gen if gen else None
+        members = self.counts[self.fleet.kind == CLASSES.index(cls)]
+        gen = int(members.sum())
+        return int(members[:, :, Verdict.RECEIVED].sum()) / gen if gen else None
 
     def distance_bins(self, bin_width_km: float = 2.5) -> list[metrics.DistanceBin]:
         return metrics.distance_binned_ratio(
-            list(self.fleet),
+            self.fleet,
             self.counts.sum(axis=(1, 2)),
             self.counts[:, :, Verdict.RECEIVED].sum(axis=1),
             bin_width_km,
@@ -124,7 +122,7 @@ def run(config: ScenarioConfig) -> RunReport:
 
     audible = np.ones(n_aircraft, dtype=bool)
     if errors_on:
-        state = aircraft_link_state(fleet, link)
+        state = aircraft_link_state(fleet.distance_km, fleet.power_dbm, link)
         audible = ~state.below_sensitivity
         p_good = np.stack([1.0 - corruption_probability(state.pe_bit, k, link.ber_mode) for k in KIND_ORDER], axis=1)
 
@@ -135,19 +133,19 @@ def run(config: ScenarioConfig) -> RunReport:
     # ordering or collisions and draw nothing from the channel stream
     draws = [k if k in config.enabled_kinds else None for k in KIND_ORDER]
     starts, bad, generated = [], [], []
-    for a in fleet:
-        t_rng = traffic_rng(config.seed, a.id)
+    for i in range(n_aircraft):
+        t_rng = traffic_rng(config.seed, i)
         times = [_NO_PACKETS if kind is None else emission_times(kind, config.duration_s, t_rng)
                  for kind in draws]
         n_times = [t.size for t in times]
         generated.extend(n_times)
-        if audible[a.id]:
+        if audible[i]:
             starts.extend(t for t in times if t.size)
             if errors_on:
                 # one uniform per packet, in kind order: a packet is bad iff
                 # its uniform is >= 1 - P_bad of its kind
-                uniforms = channel_rng(config.seed, a.id).random(sum(n_times))
-                bad.append(uniforms >= np.repeat(p_good[a.id], n_times))
+                uniforms = channel_rng(config.seed, i).random(sum(n_times))
+                bad.append(uniforms >= np.repeat(p_good[i], n_times))
 
     generated = np.array(generated, dtype=np.int64).reshape(n_aircraft, _N_KINDS)
     sizes = (generated * audible[:, None]).ravel()
@@ -194,7 +192,7 @@ def run(config: ScenarioConfig) -> RunReport:
 
     return RunReport(
         config=config,
-        fleet=tuple(fleet),
+        fleet=fleet,
         counts=counts,
         pos_loss_runs=pos_hist,
         update=update,

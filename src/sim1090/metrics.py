@@ -14,7 +14,7 @@ import numpy as np
 
 from .frames import AirframeKind
 from .packets import SCHEDULES, PacketKind, packet_duration_s
-from .scenario import Aircraft, ScenarioConfig
+from .scenario import CLASSES, ScenarioConfig
 
 
 class InsufficientDataError(ValueError):
@@ -66,10 +66,13 @@ def update_probability(outcomes, deadline_s: float) -> UpdateProbabilityResult:
     if not 0 < deadline_s < math.inf:
         raise ValueError(f"deadline_s must be finite and > 0, got {deadline_s}")
     lost = ~np.asarray(outcomes, dtype=bool)
-    k = math.ceil(deadline_s / SCHEDULES[PacketKind.POS].mean_interval_s)
+    slots = deadline_s / SCHEDULES[PacketKind.POS].mean_interval_s  # inf past the float range
     n = lost.size
-    if n < k:
-        raise InsufficientDataError(f"need at least {k} packets for a {deadline_s}s deadline, got {n}")
+    if n < slots:  # n < ceil(slots) for a whole n, and ceil(inf) would overflow
+        raise InsufficientDataError(
+            f"a {deadline_s}s deadline spans {slots:g} POS intervals, more than the {n} packets"
+        )
+    k = math.ceil(slots)
     window_losses = np.convolve(lost.astype(np.int64), np.ones(k, dtype=np.int64), mode="valid")
     failed = int((window_losses == k).sum())
     total = n - k + 1
@@ -100,42 +103,31 @@ class DistanceBin:
 
 
 def distance_binned_ratio(
-    fleet: list[Aircraft],
+    fleet: np.recarray,
     generated_by_aircraft: np.ndarray,
     received_by_aircraft: np.ndarray,
     bin_width_km: float = 2.5,
 ) -> list[DistanceBin]:
-    """Per-class received ratio by distance bin; empty bins are omitted."""
+    """Per-class received ratio by distance bin, in class then bin order;
+    bins that generated nothing are omitted."""
     if not 0 < bin_width_km < math.inf:
         raise ValueError(f"bin_width_km must be finite and > 0, got {bin_width_km}")
-    rows: list[DistanceBin] = []
-    for cls in AirframeKind:
-        members = [a for a in fleet if a.kind is cls]
-        if not members:
-            continue
-        buckets: dict[int, list[Aircraft]] = {}
-        for a in members:
-            # bins are half-open (lo, hi], matching the (0, radius] distance range
-            idx = math.ceil(a.distance_km / bin_width_km) - 1
-            buckets.setdefault(idx, []).append(a)
-        for idx in sorted(buckets):
-            group = buckets[idx]
-            gen = int(sum(generated_by_aircraft[a.id] for a in group))
-            rec = int(sum(received_by_aircraft[a.id] for a in group))
-            if gen == 0:
-                continue
-            rows.append(
-                DistanceBin(
-                    aircraft_class=cls,
-                    lo_km=idx * bin_width_km,
-                    hi_km=(idx + 1) * bin_width_km,
-                    center_km=(idx + 0.5) * bin_width_km,
-                    n_aircraft=len(group),
-                    generated=gen,
-                    received=rec,
-                )
-            )
-    return rows
+    # bins are half-open (lo, hi], matching the (0, radius] distance range
+    with np.errstate(over="ignore"):
+        idx = np.ceil(fleet.distance_km / bin_width_km) - 1.0
+    if not np.isfinite(idx).all():
+        raise ValueError(f"bin_width_km={bin_width_km} is too small: a bin index overflows")
+    keys, row = np.unique(np.stack([fleet.kind, idx], axis=1), axis=0, return_inverse=True)
+    tallies = [  # aircraft, generated and received per (class, bin) key
+        np.bincount(row.ravel(), weights=weights, minlength=len(keys)).astype(np.int64).tolist()
+        for weights in (None, generated_by_aircraft, received_by_aircraft)
+    ]
+    w = bin_width_km
+    return [
+        DistanceBin(CLASSES[int(cls)], i * w, (i + 1) * w, (i + 0.5) * w, n, gen, rec)
+        for (cls, i), n, gen, rec in zip(keys.tolist(), *tallies)
+        if gen
+    ]
 
 
 def aloha_expected_ratio(config: ScenarioConfig, kind: PacketKind | None = None) -> float:

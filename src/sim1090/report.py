@@ -18,6 +18,7 @@ import numpy as np
 from .aloha import Verdict
 from .frames import AirframeKind
 from .packets import KIND_ORDER
+from .scenario import CLASSES
 
 if TYPE_CHECKING:
     from .engine import ReplicationResult, RunReport
@@ -97,9 +98,8 @@ def run_dict(report: RunReport) -> dict:
         "verdict_totals": dict(zip(VERDICT_COLUMNS[1:], report.counts.sum(axis=(0, 1)).tolist())),
         "per_class": {str(cls): fmt6(report.class_ratio(cls)) for cls in AirframeKind},
         "per_aircraft": [
-            {"id": a.id, "class": str(a.kind), "distance_km": fmt6(a.distance_km),
-             **dict(zip(VERDICT_COLUMNS, row))}
-            for a, row in zip(report.fleet, verdict_rows(report.counts.sum(axis=1)))
+            {"id": i, "class": str(CLASSES[kind]), "distance_km": fmt6(d), **dict(zip(VERDICT_COLUMNS, row))}
+            for (i, kind, d, _power), row in zip(report.fleet.tolist(), verdict_rows(report.counts.sum(axis=1)))
         ],
         "tracked_aircraft": cfg.tracked_aircraft,
         "pos_loss_runs": {str(k): v for k, v in sorted(report.pos_loss_runs.items())},

@@ -16,6 +16,8 @@ import numbers
 from dataclasses import dataclass, fields, replace
 from typing import Iterable
 
+import numpy as np
+
 from .frames import AirframeKind
 from .packets import SCHEDULES, PacketKind
 from .seeding import MAX_SEED, fleet_rng
@@ -129,43 +131,34 @@ class ScenarioConfig:
         return replace(self, **changes)
 
 
-@dataclass(frozen=True)
-class Aircraft:
-    """One emitter, reduced to a scalar line-of-sight distance to the station."""
-
-    id: int
-    kind: AirframeKind
-    distance_km: float
-    power_dbm: float
+#: aircraft classes in fleet order; a fleet's ``kind`` column indexes this tuple
+CLASSES: tuple[AirframeKind, ...] = tuple(AirframeKind)
 
 
-def _draw_distances(rng, n: int, radius_km: float, area_uniform: bool):
-    # u in [0,1) so distances land in the half-open (0, radius] range
-    u = rng.uniform(0.0, 1.0, n)
-    if area_uniform:
-        return radius_km * (1.0 - u) ** 0.5
-    return radius_km * (1.0 - u)
-
-
-def build_fleet(config: ScenarioConfig) -> list[Aircraft]:
+def build_fleet(config: ScenarioConfig) -> np.recarray:
     """Deterministically generate the aircraft population of a config.
 
-    Planes come first, then UAVs, and an aircraft's id is its position in the
-    fleet. Distances are uniform in d over (0, radius] per class (or uniform
+    One record per aircraft, indexed by its id: ``id``, ``kind`` (an index
+    into CLASSES), ``distance_km`` and ``power_dbm``. Planes come first, then
+    UAVs. Distances are uniform in d over (0, radius] per class (or uniform
     over the disk area with ``area_uniform``), drawn class by class from the
     fleet stream of the config seed.
     """
     config.validate()
     rng = fleet_rng(config.seed)
-    classes = (
-        (AirframeKind.PLANE, config.n_planes, config.plane_radius_km, config.plane_power_dbm),
-        (AirframeKind.UAV, config.n_uavs, config.uav_radius_km, config.uav_power_dbm),
+    counts = (config.n_planes, config.n_uavs)  # per class, in CLASSES order
+    # u in [0,1) so distances land in the half-open (0, radius] range
+    left = np.concatenate([1.0 - rng.uniform(0.0, 1.0, n) for n in counts])
+    radius = np.repeat((config.plane_radius_km, config.uav_radius_km), counts)
+    return np.rec.fromarrays(
+        [
+            np.arange(sum(counts)),
+            np.repeat(np.arange(len(CLASSES), dtype=np.int8), counts),
+            radius * (left ** 0.5 if config.area_uniform else left),
+            np.repeat((config.plane_power_dbm, config.uav_power_dbm), counts),
+        ],
+        names="id,kind,distance_km,power_dbm",
     )
-    fleet = []
-    for kind, count, radius_km, power_dbm in classes:
-        for d in _draw_distances(rng, count, radius_km, config.area_uniform).tolist():
-            fleet.append(Aircraft(id=len(fleet), kind=kind, distance_km=d, power_dbm=power_dbm))
-    return fleet
 
 
 # --- scenario text parsing ---

@@ -16,7 +16,6 @@ import json
 import math
 import statistics
 import time
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -35,6 +34,7 @@ from sim1090.engine import run, run_replicated
 from sim1090.frames import AirframeKind, SquitterFrame, pack, unpack
 from sim1090.metrics import aloha_expected_ratio
 from sim1090.packets import KIND_INDEX, PacketKind
+from sim1090.scenario import CLASSES
 from test_aloha import brute_force_collisions
 from test_metrics import failed_windows_from_runs
 
@@ -161,8 +161,8 @@ def _class_blind_prediction(report, cls):
     cfg = report.config
     link = LinkBudget.from_config(cfg)
     power = cfg.plane_power_dbm if cls is AirframeKind.PLANE else cfg.uav_power_dbm
-    fleet = [replace(a, power_dbm=power) for a in report.fleet if a.kind is cls]
-    state = aircraft_link_state(fleet, link)
+    fleet = report.fleet[report.fleet.kind == CLASSES.index(cls)]
+    state = aircraft_link_state(fleet.distance_km, np.full(len(fleet), power), link)
     generated, good = 0, 0.0
     for a, gated, pe in zip(fleet, state.below_sensitivity.tolist(), state.pe_bit.tolist()):
         for k, i in KIND_INDEX.items():
@@ -246,7 +246,8 @@ def _update_probability_oracle(report):
     cfg = report.config
     p_bad = 0.0
     if cfg.channel_errors_enabled:
-        state = aircraft_link_state([report.fleet[cfg.tracked_aircraft]], LinkBudget.from_config(cfg))
+        tracked = report.fleet[cfg.tracked_aircraft : cfg.tracked_aircraft + 1]
+        state = aircraft_link_state(tracked.distance_km, tracked.power_dbm, LinkBudget.from_config(cfg))
         p_bad = 1.0 if state.below_sensitivity[0] else corruption_probability(
             float(state.pe_bit[0]), PacketKind.POS, cfg.ber_mode
         )

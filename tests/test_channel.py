@@ -33,9 +33,8 @@ from sim1090.channel import (
 from sim1090.cli import load_preset
 from sim1090.engine import run
 from sim1090.packets import KIND_ORDER, PacketKind
-from sim1090.scenario import Aircraft, ScenarioConfig, build_fleet
+from sim1090.scenario import ScenarioConfig, build_fleet
 from sim1090.seeding import channel_rng
-from sim1090.frames import AirframeKind
 
 
 class TestPathLoss:
@@ -226,16 +225,16 @@ class TestLinkBudget:
 
 class TestClassify:
     def test_chain_for_edge_plane(self):
-        plane = Aircraft(0, AirframeKind.PLANE, 50.0, 44.0)
-        state = aircraft_link_state([plane], _link())
+        # a plane at 50 km sending 44 dBm
+        state = aircraft_link_state([50.0], [44.0], _link())
         assert state.rx_power_dbm[0] == pytest.approx(-83.168, abs=1e-3)
         assert not state.below_sensitivity[0]
         # r = 10^((-83.168 + 90) / 10) = 4.8195, erfc(sqrt(r) * sin(pi/8))
         assert state.pe_bit[0] == pytest.approx(0.234681, abs=1e-5)
 
     def test_far_low_power_emitter_is_gated(self):
-        weak = Aircraft(0, AirframeKind.UAV, 40.0, 30.0)
-        state = aircraft_link_state([weak], _link())
+        # a UAV at 40 km sending 30 dBm
+        state = aircraft_link_state([40.0], [30.0], _link())
         assert state.rx_power_dbm[0] < -93.0
         assert state.below_sensitivity[0]
 
@@ -247,7 +246,8 @@ class TestClassify:
             enabled_kinds=frozenset({PacketKind.POS}),
         )
         report = run(cfg)
-        pe = aircraft_link_state(build_fleet(cfg), LinkBudget.from_config(cfg)).pe_bit[0]
+        fleet = build_fleet(cfg)
+        pe = aircraft_link_state(fleet.distance_km, fleet.power_dbm, LinkBudget.from_config(cfg)).pe_bit[0]
         draws = channel_rng(cfg.seed, 0).uniform(0.0, 1.0, report.generated_total)
         expected = int(np.count_nonzero(draws >= 1.0 - pe))
         assert 0 < expected < report.generated_total
@@ -255,8 +255,7 @@ class TestClassify:
 
     def test_corruption_frequency_matches_probability(self):
         # 10^5 draws within 3 sigma binomial bounds of the chained Pe
-        plane = Aircraft(0, AirframeKind.PLANE, 50.0, 44.0)
-        pe = float(aircraft_link_state([plane], _link()).pe_bit[0])
+        pe = float(aircraft_link_state([50.0], [44.0], _link()).pe_bit[0])
         rng = channel_rng(8, 0)
         draws = rng.uniform(0.0, 1.0, 100_000)
         freq = np.mean(draws >= 1.0 - pe)
@@ -279,9 +278,7 @@ class TestClassify:
         # the plane class: 10x distance costs 20 dB, the power gap is 14 dB
         link = _link()
         for q in (0.1, 0.5, 1.0):
-            plane = Aircraft(0, AirframeKind.PLANE, 50.0 * q, 44.0)
-            uav = Aircraft(1, AirframeKind.UAV, 5.0 * q, 30.0)
-            s_plane, s_uav = aircraft_link_state([plane, uav], link).rx_power_dbm
+            s_plane, s_uav = aircraft_link_state([50.0 * q, 5.0 * q], [44.0, 30.0], link).rx_power_dbm
             assert s_uav - s_plane == pytest.approx(6.0, abs=1e-9)
 
 
@@ -289,7 +286,8 @@ class TestFleetIntegration:
     def test_every_default_aircraft_clears_the_gate(self):
         cfg = ScenarioConfig(n_planes=50, n_uavs=20, seed=5)
         link = LinkBudget.from_config(cfg)
-        assert not aircraft_link_state(build_fleet(cfg), link).below_sensitivity.any()
+        fleet = build_fleet(cfg)
+        assert not aircraft_link_state(fleet.distance_km, fleet.power_dbm, link).below_sensitivity.any()
 
     @pytest.mark.parametrize(
         "cfg",
@@ -306,7 +304,7 @@ class TestFleetIntegration:
         # uniforms against these values
         link = LinkBudget.from_config(cfg)
         fleet = build_fleet(cfg)
-        state = aircraft_link_state(fleet, link)
+        state = aircraft_link_state(fleet.distance_km, fleet.power_dbm, link)
         p_bad = {k: corruption_probability(state.pe_bit, k, link.ber_mode) for k in KIND_ORDER}
         for a in fleet:
             s = received_power_dbm(a.power_dbm, path_loss_db(a.distance_km, link.freq_mhz))

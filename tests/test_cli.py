@@ -99,6 +99,13 @@ class TestRun:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
 
+    def test_deadline_past_float_range_gives_null_update(self, tmp_path, capsys):
+        # a valid deadline that no run has POS packets enough to cover
+        path = tmp_path / "long_deadline.scn"
+        path.write_text("n_planes = 2\nduration_s = 10\ndeadline_s = 1e308\n")
+        assert main(["run", "--scenario", str(path)]) == 0
+        assert json.loads(capsys.readouterr().out)["update_probability"] is None
+
     def test_output_dir_env(self, tiny_scn, tmp_path, monkeypatch):
         monkeypatch.setenv("SIM1090_OUTPUT_DIR", str(tmp_path / "outputs"))
         assert main(["run", "--scenario", str(tiny_scn), "--out", "report.json"]) == 0
@@ -161,6 +168,15 @@ class TestSweep:
         doc = json.loads(capsys.readouterr().out)
         assert "received_ratio" not in doc["summary"]
         assert {row["received_ratio"] for row in doc["replications"]} == {None, 1}
+
+    def test_deadline_past_float_range_leaves_update_empty(self, tmp_path, capsys):
+        path = tmp_path / "base.scn"
+        path.write_text("n_planes = 2\nduration_s = 10\n")
+        assert main([
+            "sweep", "--scenario", str(path), "--param", "deadline_s", "--values", "3,1e308",
+        ]) == 0
+        points = capsys.readouterr().out.split("# sim1090 sweep-summary v1")[0].strip().splitlines()[2:]
+        assert [row.split(",")[5] == "" for row in points] == [False, True]
 
     def test_unknown_parameter_lists_valid_keys(self, tiny_scn, capsys):
         assert main([

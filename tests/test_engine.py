@@ -4,6 +4,7 @@ equivalence with a per-packet reference, property tests over small configs
 summaries."""
 
 import hashlib
+import json
 import warnings
 
 import numpy as np
@@ -73,6 +74,12 @@ class TestRunBasics:
     def test_update_window_uses_deadline(self):
         cfg = ScenarioConfig(n_planes=2, duration_s=120.0, seed=1, deadline_s=6.0)
         assert run(cfg).update.window_k == 12
+
+    def test_deadline_past_float_range_leaves_update_undefined(self):
+        cfg = ScenarioConfig(n_planes=2, duration_s=10.0, deadline_s=1e308)
+        report = run(cfg)
+        assert report.update is None
+        assert json.loads(report.to_json_bytes())["update_probability"] is None
 
     @pytest.mark.parametrize("mode", BER_MODES)
     def test_noise_floor_past_float_range_corrupts_nothing(self, mode):
@@ -170,7 +177,7 @@ def reference_packets(cfg):
     link = LinkBudget.from_config(cfg)
     kinds = [k for k in KIND_ORDER if k in cfg.enabled_kinds]
     fleet = build_fleet(cfg)
-    state = aircraft_link_state(fleet, link)
+    state = aircraft_link_state(fleet.distance_km, fleet.power_dbm, link)
     packets = []
     for a in fleet:
         t_rng = traffic_rng(cfg.seed, a.id)
@@ -262,7 +269,8 @@ class TestModuleCompositionEquivalence:
             noise_floor_dbm=-80.0,
         )
         link = LinkBudget.from_config(cfg)
-        gated = np.flatnonzero(aircraft_link_state(build_fleet(cfg), link).below_sensitivity).tolist()
+        fleet = build_fleet(cfg)
+        gated = np.flatnonzero(aircraft_link_state(fleet.distance_km, fleet.power_dbm, link).below_sensitivity).tolist()
         report = assert_engine_matches_per_module_pipeline(cfg.with_overrides(tracked_aircraft=gated[0]))
         assert report.tracked_pos_lost.size > 0 and report.tracked_pos_lost.all()
         assert report.update is not None and report.update.probability == 0.0

@@ -1,10 +1,13 @@
 """Metric tests: ratios, loss runs, update windows, bins, calibration."""
 
 import itertools
+import math
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from sim1090.aloha import Verdict
 from sim1090.engine import RunReport
@@ -12,6 +15,7 @@ from sim1090.frames import AirframeKind
 from sim1090.metrics import (
     CALIBRATION_MAX_EVALS,
     CalibrationError,
+    DistanceBin,
     InsufficientDataError,
     aloha_expected_ratio,
     calibrate_noise_floor,
@@ -20,7 +24,7 @@ from sim1090.metrics import (
     update_probability,
 )
 from sim1090.packets import KIND_INDEX, PacketKind
-from sim1090.scenario import Aircraft, ScenarioConfig, build_fleet
+from sim1090.scenario import CLASSES, ScenarioConfig, build_fleet
 
 
 def failed_windows_from_runs(hist: dict[int, int], window_k: int) -> int:
@@ -47,6 +51,20 @@ def scan_histogram(lost_flags):
     return hist
 
 
+def fleet_of(*aircraft) -> np.recarray:
+    """A fleet record array from (class, distance_km, power_dbm) rows, ids in row order."""
+    kinds, distances, powers = zip(*aircraft) if aircraft else ((), (), ())
+    return np.rec.fromarrays(
+        [
+            np.arange(len(aircraft)),
+            np.array([CLASSES.index(k) for k in kinds], dtype=np.int8),
+            np.array(distances, dtype=float),
+            np.array(powers, dtype=float),
+        ],
+        names="id,kind,distance_km,power_dbm",
+    )
+
+
 def report_with(received: int, lost: int) -> RunReport:
     """A one-plane report of `received` received and `lost` collided POS packets."""
     cfg = ScenarioConfig(n_planes=1)
@@ -55,7 +73,7 @@ def report_with(received: int, lost: int) -> RunReport:
     counts[0, KIND_INDEX[PacketKind.POS], Verdict.LOST_COLLISION] = lost
     return RunReport(
         config=cfg,
-        fleet=tuple(build_fleet(cfg)),
+        fleet=build_fleet(cfg),
         counts=counts,
         pos_loss_runs={},
         update=None,
@@ -170,15 +188,64 @@ class TestUpdateProbability:
         with pytest.raises(InsufficientDataError):
             update_probability([True] * 5, deadline_s=3.0)
 
+    def test_deadline_past_float_range_is_insufficient_data(self):
+        # 1e308 s over a 0.5 s interval is inf slots: too few packets, not an
+        # OverflowError from ceil(inf)
+        with pytest.raises(InsufficientDataError):
+            update_probability([True] * 10, deadline_s=1e308)
+
+    def test_window_is_ceiling_of_deadline_slots(self):
+        # 3.1 s is 6.2 intervals: 7 packets are needed and 6 are too few
+        assert update_probability([True] * 7, deadline_s=3.1).window_k == 7
+        with pytest.raises(InsufficientDataError):
+            update_probability([True] * 6, deadline_s=3.1)
+
     def test_bad_deadline(self):
         for deadline in (0.0, float("nan"), float("inf")):
             with pytest.raises(ValueError, match="deadline_s"):
                 update_probability([True] * 10, deadline_s=deadline)
 
 
+def binned_oracle(fleet, generated_by_aircraft, received_by_aircraft, bin_width_km):
+    """Per-class distance bins by a per-aircraft loop: an oracle for
+    distance_binned_ratio's one vectorised pass."""
+    rows = []
+    for cls in AirframeKind:
+        buckets = {}
+        for a in fleet:
+            if CLASSES[a.kind] is cls:
+                # bins are half-open (lo, hi]
+                buckets.setdefault(math.ceil(a.distance_km / bin_width_km) - 1, []).append(a)
+        for idx in sorted(buckets):
+            group = buckets[idx]
+            gen = int(sum(generated_by_aircraft[a.id] for a in group))
+            rec = int(sum(received_by_aircraft[a.id] for a in group))
+            if gen == 0:
+                continue
+            rows.append(DistanceBin(
+                cls, idx * bin_width_km, (idx + 1) * bin_width_km, (idx + 0.5) * bin_width_km,
+                len(group), gen, rec,
+            ))
+    return rows
+
+
+@st.composite
+def binned_cases(draw):
+    """(bin width, [(class, distance_km, generated, received)]): classes in any
+    order or absent, distances often on bin edges, some aircraft with nothing
+    generated."""
+    width = draw(st.sampled_from([2.5, 1.0, 0.3, 4.0, 7.0]) | st.floats(0.05, 60.0))
+    distance = st.floats(1e-3, 60.0) | st.integers(1, 30).map(lambda k: k * width)
+    aircraft = draw(st.lists(
+        st.tuples(st.sampled_from(CLASSES), distance, st.integers(0, 40), st.integers(0, 40)),
+        max_size=20,
+    ))
+    return width, [(cls, d, gen, min(rec, gen)) for cls, d, gen, rec in aircraft]
+
+
 class TestDistanceBins:
     def test_single_plane_row(self):
-        fleet = [Aircraft(0, AirframeKind.PLANE, 10.0, 44.0)]
+        fleet = fleet_of((AirframeKind.PLANE, 10.0, 44.0))
         rows = distance_binned_ratio(fleet, np.array([100]), np.array([62]))
         assert len(rows) == 1
         row = rows[0]
@@ -188,28 +255,37 @@ class TestDistanceBins:
         assert row.ratio == pytest.approx(0.62)
 
     def test_classes_kept_separate(self):
-        fleet = [
-            Aircraft(0, AirframeKind.PLANE, 4.0, 44.0),
-            Aircraft(1, AirframeKind.UAV, 4.0, 30.0),
-        ]
+        fleet = fleet_of((AirframeKind.PLANE, 4.0, 44.0), (AirframeKind.UAV, 4.0, 30.0))
         rows = distance_binned_ratio(fleet, np.array([10, 10]), np.array([5, 7]))
         assert {r.aircraft_class for r in rows} == {AirframeKind.PLANE, AirframeKind.UAV}
 
     def test_empty_bins_omitted(self):
-        fleet = [
-            Aircraft(0, AirframeKind.PLANE, 1.0, 44.0),
-            Aircraft(1, AirframeKind.PLANE, 49.0, 44.0),
-        ]
+        fleet = fleet_of((AirframeKind.PLANE, 1.0, 44.0), (AirframeKind.PLANE, 49.0, 44.0))
         rows = distance_binned_ratio(fleet, np.array([10, 10]), np.array([9, 3]))
         assert len(rows) == 2
         assert rows[0].center_km == pytest.approx(1.25)
         assert rows[1].center_km == pytest.approx(48.75)
 
     def test_bad_width(self):
-        fleet = [Aircraft(0, AirframeKind.PLANE, 10.0, 44.0)]
-        for width in (0.0, float("nan"), float("inf")):
+        fleet = fleet_of((AirframeKind.PLANE, 10.0, 44.0))
+        for width in (0.0, float("nan"), float("inf"), 1e-320):
             with pytest.raises(ValueError, match="bin_width_km"):
                 distance_binned_ratio(fleet, np.array([100]), np.array([62]), bin_width_km=width)
+
+    @settings(max_examples=200, deadline=None)
+    @given(binned_cases())
+    @example((2.5, [(AirframeKind.PLANE, 2.5, 10, 3), (AirframeKind.PLANE, 5.0, 0, 0),
+                    (AirframeKind.PLANE, 7.5, 4, 4), (AirframeKind.PLANE, 7.4, 6, 1)]))
+    def test_matches_per_aircraft_oracle(self, case):
+        width, aircraft = case
+        fleet = fleet_of(*((cls, d, 44.0) for cls, d, _, _ in aircraft))
+        generated = np.array([a[2] for a in aircraft], dtype=np.int64)
+        received = np.array([a[3] for a in aircraft], dtype=np.int64)
+        rows = distance_binned_ratio(fleet, generated, received, width)
+        assert rows == binned_oracle(fleet, generated, received, width)
+        for row in rows:  # plain Python numbers, as the JSON report needs
+            assert {type(v) for v in (row.lo_km, row.hi_km, row.center_km)} == {float}
+            assert {type(v) for v in (row.n_aircraft, row.generated, row.received)} == {int}
 
 
 class TestAnalyticAlohaRatio:

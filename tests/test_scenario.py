@@ -13,6 +13,7 @@ from test_engine import channel_configs, small_configs
 from sim1090.frames import AirframeKind
 from sim1090.packets import PacketKind
 from sim1090.scenario import (
+    CLASSES,
     MAX_PACKETS,
     ScenarioConfig,
     ValidationError,
@@ -21,6 +22,7 @@ from sim1090.scenario import (
     loads_scenario,
     parse_value,
 )
+from sim1090.seeding import fleet_rng
 
 FLOAT_KEYS = (
     "plane_radius_km",
@@ -209,7 +211,7 @@ class TestBuildFleet:
         cfg = ScenarioConfig(n_planes=200, n_uavs=0, seed=1)
         fleet = build_fleet(cfg)
         assert len(fleet) == 200
-        assert all(a.kind is AirframeKind.PLANE for a in fleet)
+        assert all(CLASSES[a.kind] is AirframeKind.PLANE for a in fleet)
         assert all(0 < a.distance_km <= 50.0 for a in fleet)
         assert all(a.power_dbm == 44.0 for a in fleet)
 
@@ -217,18 +219,18 @@ class TestBuildFleet:
         fleet = build_fleet(ScenarioConfig(n_planes=0, n_uavs=1))
         assert len(fleet) == 1
         uav = fleet[0]
-        assert uav.kind is AirframeKind.UAV
+        assert CLASSES[uav.kind] is AirframeKind.UAV
         assert 0 < uav.distance_km <= 5.0
         assert uav.power_dbm == 30.0
 
     def test_deterministic_element_by_element(self):
         cfg = ScenarioConfig(n_planes=50, n_uavs=10, seed=7)
-        assert build_fleet(cfg) == build_fleet(cfg)
+        assert np.array_equal(build_fleet(cfg), build_fleet(cfg))
 
     def test_different_seeds_differ(self):
         a = build_fleet(ScenarioConfig(n_planes=50, seed=1))
         b = build_fleet(ScenarioConfig(n_planes=50, seed=2))
-        assert a != b
+        assert not np.array_equal(a, b)
 
     def test_ids_sequential(self):
         fleet = build_fleet(ScenarioConfig(n_planes=3, n_uavs=2, seed=3))
@@ -238,12 +240,30 @@ class TestBuildFleet:
         with pytest.raises(ValidationError):
             build_fleet(ScenarioConfig(n_planes=0, n_uavs=0))
 
+    def test_one_record_array_indexed_by_id(self):
+        fleet = build_fleet(ScenarioConfig(n_planes=3, n_uavs=2, seed=3))
+        assert fleet.dtype.names == ("id", "kind", "distance_km", "power_dbm")
+        assert fleet.kind.dtype == np.int8
+        assert [CLASSES[k] for k in fleet.kind] == [AirframeKind.PLANE] * 3 + [AirframeKind.UAV] * 2
+        assert fleet.power_dbm.tolist() == [44.0] * 3 + [30.0] * 2
+        assert fleet[4].id == 4 and fleet[4].distance_km == fleet.distance_km[4]
+
+    @pytest.mark.parametrize("area_uniform", [False, True])
+    def test_distances_are_the_class_draws_in_order(self, area_uniform):
+        # planes' uniforms first, then the UAVs', from the one fleet stream
+        cfg = ScenarioConfig(n_planes=4, n_uavs=3, seed=9, area_uniform=area_uniform)
+        rng = fleet_rng(cfg.seed)
+        left = np.concatenate([1.0 - rng.uniform(0.0, 1.0, 4), 1.0 - rng.uniform(0.0, 1.0, 3)])
+        if area_uniform:
+            left = left ** 0.5
+        assert np.array_equal(build_fleet(cfg).distance_km, np.repeat([50.0, 5.0], [4, 3]) * left)
+
     def test_distance_distribution_uniform(self):
         # Kolmogorov-Smirnov at 1% significance over 10^5 pooled draws
         draws = []
         for seed in range(500):
             fleet = build_fleet(ScenarioConfig(n_planes=200, seed=seed))
-            draws.extend(a.distance_km for a in fleet)
+            draws.extend(fleet.distance_km)
         pooled = np.array(draws) / 50.0
         assert len(pooled) == 100_000
         assert stats.kstest(pooled, "uniform").pvalue > 0.01
@@ -253,6 +273,6 @@ class TestBuildFleet:
         draws = []
         for seed in range(100):
             fleet = build_fleet(ScenarioConfig(n_planes=200, seed=seed, area_uniform=True))
-            draws.extend(a.distance_km for a in fleet)
+            draws.extend(fleet.distance_km)
         pooled = (np.array(draws) / 50.0) ** 2
         assert stats.kstest(pooled, "uniform").pvalue > 0.01

@@ -3,8 +3,9 @@
 perfbench/layers.py wraps sim1090 functions and methods by name and skips,
 with a warning, any name that no longer exists, so a rename would leave that
 benchmark layer reading zero. These tests load the benchmark's own modules by
-file path and fail on any missing hook, or on a calibration whose evaluations
-the traced layer does not count.
+file path and fail on any missing hook, on a calibration whose evaluations
+the traced layer does not count, or on a packet count that differs from the
+engine's.
 """
 
 import importlib.util
@@ -12,22 +13,27 @@ import json
 import sys
 from pathlib import Path
 
+from sim1090.channel import LinkBudget, aircraft_link_state
 from sim1090.cli import main
+from sim1090.engine import run
+from sim1090.packets import PacketKind
+from sim1090.scenario import ScenarioConfig, build_fleet
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
 
-def load(name):
+def load(name, monkeypatch):
+    # registered under its name for the test's duration: layers imports tracer
+    # by name, and a dataclass looks its module up in sys.modules
     spec = importlib.util.spec_from_file_location(name, PERFBENCH / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, name, module)
     spec.loader.exec_module(module)
     return module
 
 
 def load_tracing(monkeypatch):
-    tracer = load("tracer")
-    monkeypatch.setitem(sys.modules, "tracer", tracer)  # layers imports it by name
-    return tracer, load("layers")
+    return load("tracer", monkeypatch), load("layers", monkeypatch)
 
 
 def test_every_trace_hook_is_found(monkeypatch):
@@ -56,3 +62,18 @@ def test_calibrate_evaluations_are_counted(monkeypatch, tmp_path):
     assert evaluations > 2
     metrics = layers.layer_metrics(trace.spans, trace.counters, 1, [0.0])
     assert metrics["metrics.calibrate_evals"] == (evaluations, "count")
+
+
+def test_generated_packets_equals_engine_count(monkeypatch):
+    # the benchmark re-derives each aircraft's timelines from its traffic
+    # stream, keyed by the fleet's id field; UAVs, a gated aircraft and a
+    # disabled kind are the cases where a wrong id or kind order would show
+    workloads = load("workloads", monkeypatch)
+    cfg = ScenarioConfig(
+        n_planes=4, n_uavs=2, duration_s=30.0, seed=3, sensitivity_dbm=-78.0,
+        enabled_kinds=frozenset(PacketKind) - {PacketKind.VEL},
+    )
+    fleet = build_fleet(cfg)
+    gated = aircraft_link_state(fleet.distance_km, fleet.power_dbm, LinkBudget.from_config(cfg)).below_sensitivity
+    assert 0 < gated.sum() < len(fleet)
+    assert workloads.generated_packets(cfg) == run(cfg).generated_total

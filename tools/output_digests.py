@@ -15,10 +15,13 @@ The outputs are:
 - ``run`` JSON of fig6 in the two BER modes no preset uses: ``per_bit`` at a
   -78 dBm floor and ``exact_eq4`` at the preset floor
   (``run-fig6-<mode>.json``);
+- ``run`` JSON of fig6 with distances uniform over the disk area
+  (``run-fig6-area-uniform.json``), the only output of that branch of
+  ``build_fleet``;
 - ``run`` JSON of a collision-only fleet of 150 planes that send only the
   slow kinds AOS, ID and TSS for 30 s (``run-slow-kinds.json``).
 
-The scenario files of the last two items are written to the temporary
+The scenario files of the last three items are written to the temporary
 directory.
 
 Usage, from the root of a source checkout::
@@ -99,6 +102,9 @@ def outputs(tmp: Path):
         path = tmp / f"fig6-{mode}.scn"
         path.write_text(f"{fig6}ber_mode = {mode}\n{extra}", encoding="utf-8")
         yield f"run-fig6-{mode}.json", cli_output(["run", "--scenario", str(path)])
+    path = tmp / "fig6-area-uniform.scn"
+    path.write_text(f"{fig6}area_uniform = true\n", encoding="utf-8")
+    yield "run-fig6-area-uniform.json", cli_output(["run", "--scenario", str(path)])
     path = tmp / "slow-kinds.scn"
     path.write_text(SLOW_KINDS, encoding="utf-8")
     yield "run-slow-kinds.json", cli_output(["run", "--scenario", str(path)])
