@@ -1,9 +1,11 @@
 """Link-budget walk: path loss, received power, SNR and bit error rate
 across distance for both emitter classes, at the default -90 dBm floor.
 
-Also prints the exact phase-integral PSK error probability next to the
-closed form erfc(sqrt(r) sin(pi/M)), its high-SNR approximation: the two
-agree to within 0.003 from r = 2 on and part only near zero SNR.
+Also prints the exact phase-integral PSK error probability (Craig's
+finite-range form) next to the closed form erfc(sqrt(r) sin(pi/M)), its
+high-SNR approximation and an upper bound on it: the two agree to within
+0.003 from r = 2 on and part only near zero SNR, where the closed form is
+at most twice the exact value.
 """
 
 from sim1090 import ber_mpsk_approx, ber_mpsk_exact, path_loss_db, received_power_dbm, snr_linear

@@ -7,9 +7,13 @@ phase-decision experiment for the exact PSK integral.
 
 import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy import integrate
 from scipy.special import erfc
 
 import subprocess
@@ -91,7 +95,58 @@ class TestSnr:
         assert snr_linear(-83.17, -90.0) == pytest.approx(4.8195, abs=1e-3)
 
 
-class TestBerApprox:
+def _phase_error_density(theta: float, r: float) -> float:
+    # density of the received-phase error at offset theta for linear SNR r;
+    # 0.5 * erfc(-sqrt(r) * c) is the normal CDF at sqrt(2r) * c
+    c = math.cos(theta)
+    return (
+        math.exp(-r)
+        + math.sqrt(4.0 * math.pi * r) * c * math.exp(-r * math.sin(theta) ** 2) * 0.5 * math.erfc(-math.sqrt(r) * c)
+    ) / (2.0 * math.pi)
+
+
+def quadrature_ber(r: float, m: int) -> float:
+    """Oracle: the phase-error density integrated over the decision-failure
+    region |theta| > pi/M by adaptive quadrature, to 1e-6 absolute."""
+    half, abserr = integrate.quad(_phase_error_density, math.pi / m, math.pi, args=(r,), epsabs=5e-8, limit=200)
+    assert 2.0 * abserr <= 1e-6
+    return 2.0 * half
+
+
+class _BerContract:
+    """Array and domain contract shared by both BER functions (`ber`)."""
+
+    def test_domain(self):
+        with pytest.raises(ValueError):
+            self.ber(-0.1, 8)
+        with pytest.raises(ValueError):
+            self.ber(1.0, 1)
+        # NaN fails the domain check rather than passing through as a NaN rate
+        with pytest.raises(ValueError, match="snr ratio must be >= 0, got nan"):
+            self.ber(math.nan, 8)
+        with pytest.raises(ValueError, match="snr ratio must be >= 0"):
+            self.ber(np.array([1.0, math.nan]), 8)
+
+    def test_array_equals_scalar_calls(self):
+        # equal, not approximately equal: the fleet chain evaluates an array,
+        # the scalar chain one aircraft at a time
+        grid = np.concatenate([np.linspace(0.0, 60.0, 241), [1e-300, 4.82, 1e6, math.inf]])
+        values = self.ber(grid, 8)
+        assert values.dtype == np.float64
+        assert all(v == self.ber(r, 8) for v, r in zip(values.tolist(), grid.tolist()))
+
+    def test_shape_and_scalar_type(self):
+        out = self.ber(np.full((3, 4), 2.0), 8)
+        assert out.shape == (3, 4) and out.dtype == np.float64
+        assert type(self.ber(2.0, 8)) is float
+        assert type(self.ber(np.float64(2.0), 8)) is float
+        assert type(self.ber(np.array(2.0), 8)) is float
+        assert self.ber(np.empty((0, 2)), 8).shape == (0, 2)
+
+
+class TestBerApprox(_BerContract):
+    ber = staticmethod(ber_mpsk_approx)
+
     def test_zero_snr(self):
         assert ber_mpsk_approx(0.0, 8) == 1.0
 
@@ -111,32 +166,6 @@ class TestBerApprox:
         values = ber_mpsk_approx(grid, 8)
         assert np.all(np.diff(values) <= 0)
 
-    def test_domain(self):
-        with pytest.raises(ValueError):
-            ber_mpsk_approx(-0.1, 8)
-        with pytest.raises(ValueError):
-            ber_mpsk_approx(1.0, 1)
-        # NaN fails the domain check rather than passing through as a NaN rate
-        for bad in (math.nan, np.array([1.0, math.nan])):
-            with pytest.raises(ValueError, match="snr ratio must be >= 0"):
-                ber_mpsk_approx(bad, 8)
-
-    def test_array_equals_scalar_calls(self):
-        # equal, not approximately equal: the fleet chain evaluates an array,
-        # the scalar chain one aircraft at a time
-        grid = np.concatenate([np.linspace(0.0, 60.0, 241), [1e-300, 4.82, 1e6, math.inf]])
-        values = ber_mpsk_approx(grid, 8)
-        assert values.dtype == np.float64
-        assert all(v == ber_mpsk_approx(r, 8) for v, r in zip(values.tolist(), grid.tolist()))
-
-    def test_shape_and_scalar_type(self):
-        out = ber_mpsk_approx(np.full((3, 4), 2.0), 8)
-        assert out.shape == (3, 4) and out.dtype == np.float64
-        assert type(ber_mpsk_approx(2.0, 8)) is float
-        assert type(ber_mpsk_approx(np.float64(2.0), 8)) is float
-        assert type(ber_mpsk_approx(np.array(2.0), 8)) is float
-        assert ber_mpsk_approx(np.empty((0, 2)), 8).shape == (0, 2)
-
     def test_matches_scipy_erfc(self):
         # math.erfc and scipy.special.erfc differ in the last bits; on this
         # grid the largest relative gap measured 2.5e-15
@@ -145,9 +174,11 @@ class TestBerApprox:
         np.testing.assert_allclose(ber_mpsk_approx(grid, 8), expected, rtol=1e-14, atol=0.0)
 
 
-class TestBerExact:
+class TestBerExact(_BerContract):
+    ber = staticmethod(ber_mpsk_exact)
+
     def test_zero_snr_is_uniform_phase_decision(self):
-        # quadrature must reproduce 1 - 1/M exactly at zero SNR
+        # the exact form must reproduce 1 - 1/M at zero SNR
         assert ber_mpsk_exact(0.0, 8) == pytest.approx(0.875, abs=1e-9)
         assert ber_mpsk_exact(0.0, 4) == pytest.approx(0.75, abs=1e-9)
 
@@ -176,12 +207,24 @@ class TestBerExact:
         values = [ber_mpsk_exact(r, 8) for r in grid]
         assert np.all(np.diff(values) <= 1e-12)
 
-    def test_domain(self):
-        with pytest.raises(ValueError):
-            ber_mpsk_exact(-1.0, 8)
-        # a NaN ratio is a domain error, not a QuadratureError
-        with pytest.raises(ValueError, match="snr ratio must be >= 0, got nan"):
-            ber_mpsk_exact(math.nan, 8)
+    @pytest.mark.parametrize("m", [2, 4, 8, 16])
+    def test_matches_quadrature_oracle(self, m):
+        grid = np.concatenate([[0.0, 1e-300], np.logspace(-12, 4, 161)])
+        expected = [quadrature_ber(r, m) for r in grid.tolist()]
+        np.testing.assert_allclose(ber_mpsk_exact(grid, m), expected, rtol=0.0, atol=1e-9)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        r=st.floats(0.0, 1e4) | st.sampled_from([0.0, 1e-300, math.inf]),
+        m=st.sampled_from([2, 4, 8, 16]),
+    )
+    def test_closed_form_is_upper_bound(self, r, m):
+        # exact = approx/2 + tail with 0 <= tail <= approx/2; the one slack is
+        # a subnormal approx, whose half rounds by one unit of the last place
+        exact, approx = ber_mpsk_exact(r, m), ber_mpsk_approx(r, m)
+        ulp = np.finfo(float).smallest_subnormal
+        assert exact <= approx + ulp
+        assert approx <= 2.0 * exact + ulp
 
 
 class TestCorruptionProbability:
@@ -221,6 +264,16 @@ class TestLinkBudget:
         cfg = ScenarioConfig(n_planes=1, noise_floor_dbm=-85.0)
         link = LinkBudget.from_config(cfg)
         assert link == LinkBudget(1090.0, -85.0, -93.0, "approx_eq5")
+
+    @pytest.mark.parametrize("field", ["freq_mhz", "noise_floor_dbm", "sensitivity_dbm"])
+    def test_non_finite_rejected(self, field):
+        # a NaN sensitivity would gate every aircraft without a word
+        for bad in (math.nan, math.inf, -math.inf):
+            with pytest.raises(ValueError, match=f"{field} must be finite"):
+                replace(_link(), **{field: bad})
+
+    def test_far_finite_floor_is_valid(self):
+        assert _link(noise=-4000.0).noise_floor_dbm == -4000.0
 
 
 class TestClassify:
@@ -316,9 +369,9 @@ class TestFleetIntegration:
                 assert p_bad[k][a.id] == corruption_probability(pe, k, link.ber_mode)
 
 
-def test_only_exact_eq4_loads_scipy():
-    # scipy costs a cold start about a quarter second; only the exact_eq4
-    # quadrature needs it, so the CLI and the closed-form modes never load it
+def test_no_mode_loads_scipy():
+    # scipy costs a cold start about a quarter second and numpy.polynomial a
+    # few milliseconds: the CLI loads neither, and no BER mode loads scipy
     src = Path(sim1090.__file__).resolve().parents[1]
     code = """
 import json, sys
@@ -331,17 +384,17 @@ def scipy_modules():
     return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
 
 after_import = scipy_modules()
+polynomial_loaded = "numpy.polynomial" in sys.modules
 cfg = ScenarioConfig(n_planes=5, n_uavs=2, duration_s=10.0, seed=3, noise_floor_dbm=-80.0)
-corrupted = [run(cfg.with_overrides(ber_mode=m)).verdict_total(Verdict.LOST_CORRUPTED) for m in ("approx_eq5", "per_bit")]
-after_runs = scipy_modules()
-run(cfg.with_overrides(ber_mode="exact_eq4"))
-print(json.dumps([after_import, after_runs, corrupted, "scipy.integrate" in sys.modules]))
+modes = ("approx_eq5", "per_bit", "exact_eq4")
+corrupted = [run(cfg.with_overrides(ber_mode=m)).verdict_total(Verdict.LOST_CORRUPTED) for m in modes]
+print(json.dumps([after_import, polynomial_loaded, scipy_modules(), corrupted]))
 """
     out = subprocess.run(
         [sys.executable, "-c", code], cwd=src, capture_output=True, text=True, check=True, timeout=60
     )
-    after_import, after_runs, corrupted, integrate_loaded = json.loads(out.stdout)
+    after_import, polynomial_loaded, after_runs, corrupted = json.loads(out.stdout)
     assert after_import == []
+    assert not polynomial_loaded
     assert after_runs == []
-    assert min(corrupted) > 0  # the channel step really ran in both modes
-    assert integrate_loaded
+    assert min(corrupted) > 0  # the channel step really ran in every mode

@@ -13,8 +13,9 @@ The outputs are:
   is covered (``bench-<workload>``);
 - the stdout of each demo (``demo-<name>``);
 - ``run`` JSON of fig6 in the two BER modes no preset uses: ``per_bit`` at a
-  -78 dBm floor and ``exact_eq4`` at the preset floor
-  (``run-fig6-<mode>.json``);
+  -78 dBm floor, and ``exact_eq4`` at the preset floor and at a -70 dBm
+  floor, where the farthest planes sit at r << 1
+  (``run-fig6-<mode>.json``, ``run-fig6-exact_eq4-70dBm.json``);
 - ``run`` JSON of fig6 with distances uniform over the disk area
   (``run-fig6-area-uniform.json``), the only output of that branch of
   ``build_fleet``;
@@ -52,8 +53,14 @@ from workloads import WORKLOADS  # noqa: E402
 
 #: the benchmark's held-out seed, also used for the preset runs
 BENCH_SEED = 130363
-#: keys added to fig6 for each BER mode that no preset uses
-BER_MODE_VARIANTS = {"per_bit": "noise_floor_dbm = -78\n", "exact_eq4": ""}
+#: keys appended to fig6 for each variant, by output name suffix: the BER
+#: modes that no preset uses, and the only fleet of the area_uniform branch
+FIG6_VARIANTS = {
+    "per_bit": "ber_mode = per_bit\nnoise_floor_dbm = -78\n",
+    "exact_eq4": "ber_mode = exact_eq4\n",
+    "exact_eq4-70dBm": "ber_mode = exact_eq4\nnoise_floor_dbm = -70\n",
+    "area-uniform": "area_uniform = true\n",
+}
 #: no other output covers a run of these kinds alone; it is the output that
 #: drawing each kind's first emission over one whole interval would move
 SLOW_KINDS = """n_planes = 150
@@ -98,13 +105,10 @@ def outputs(tmp: Path):
                               capture_output=True, check=True)
         yield f"demo-{demo.stem}", proc.stdout
     fig6 = (ROOT / "src" / "sim1090" / "presets" / "fig6.scn").read_text(encoding="utf-8")
-    for mode, extra in BER_MODE_VARIANTS.items():
-        path = tmp / f"fig6-{mode}.scn"
-        path.write_text(f"{fig6}ber_mode = {mode}\n{extra}", encoding="utf-8")
-        yield f"run-fig6-{mode}.json", cli_output(["run", "--scenario", str(path)])
-    path = tmp / "fig6-area-uniform.scn"
-    path.write_text(f"{fig6}area_uniform = true\n", encoding="utf-8")
-    yield "run-fig6-area-uniform.json", cli_output(["run", "--scenario", str(path)])
+    for name, extra in FIG6_VARIANTS.items():
+        path = tmp / f"fig6-{name}.scn"
+        path.write_text(f"{fig6}{extra}", encoding="utf-8")
+        yield f"run-fig6-{name}.json", cli_output(["run", "--scenario", str(path)])
     path = tmp / "slow-kinds.scn"
     path.write_text(SLOW_KINDS, encoding="utf-8")
     yield "run-slow-kinds.json", cli_output(["run", "--scenario", str(path)])
