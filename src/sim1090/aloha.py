@@ -37,11 +37,13 @@ def collision_mask(starts: np.ndarray, durations: np.ndarray, emitters: np.ndarr
     emitters = np.asarray(emitters)
     if np.any(starts[1:] < starts[:-1]):
         raise ValueError("transmissions must be sorted by start time")
-    running_end = np.maximum.accumulate(starts + np.asarray(durations, dtype=float))
+    running_end = starts + np.asarray(durations, dtype=float)
+    np.maximum.accumulate(running_end, out=running_end)
     # the running maximum carries a NaN start or duration to its last element
     if np.isnan(running_end[-1:]).any():
         raise ValueError("transmission starts and durations must not be NaN")
     j = np.flatnonzero(starts[1:] < running_end[:-1])
+    del running_end  # the rest of the resolve holds only arrays the size of j
     cluster = np.cumsum(np.diff(j, prepend=-2) != 1) - 1
     # a cluster is mixed iff one of its pairs has two different emitters
     mixed = np.bincount(cluster, weights=emitters[j] != emitters[j + 1]) > 0

@@ -150,18 +150,25 @@ def run(config: ScenarioConfig) -> RunReport:
     generated = np.array(generated, dtype=np.int64).reshape(n_aircraft, _N_KINDS)
     sizes = (generated * audible[:, None]).ravel()
     start = np.concatenate(starts or [_NO_PACKETS])
+    del starts  # its slices pin the over-drawn emission_times buffers
     bad = np.concatenate(bad) if bad else np.zeros(start.size, dtype=bool)
 
     # packets are resolved in start-time order; ties need no tie-break (see
     # the module docstring)
     order = np.argsort(start)
-    start = start[order]
-    block = np.repeat(np.arange(sizes.size, dtype=np.int32), sizes)[order]
-    duration = np.tile(_BLOCK_DURATION, n_aircraft)[block]
     # one verdict code per packet in start order; collision outranks corruption
     code = bad[order].view(np.int8) * np.int8(Verdict.LOST_CORRUPTED)
-    del order  # freed before the collision resolve, where a run peaks in memory
+    del bad
+    start = start[order]
+    # the narrowest unsigned type that holds every block index
+    block = np.repeat(np.arange(sizes.size, dtype=np.min_scalar_type(sizes.size)), sizes)[order]
+    # a run peaks in memory inside collision_mask, at about 32 bytes per
+    # packet: start, duration and their running end (float64), the block and
+    # emitter indices, the verdict code and the continuation indices
+    del order
+    duration = np.tile(_BLOCK_DURATION, n_aircraft)[block]
     code[collision_mask(start, duration, block // _N_KINDS)] = Verdict.LOST_COLLISION
+    del start, duration
 
     # one (aircraft, kind, verdict) tally over the key block * n_verdicts + code
     key = block.astype(np.intp)

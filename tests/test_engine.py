@@ -1,10 +1,11 @@
 """Engine tests: determinism, pinned report bytes, conservation,
 equivalence with a per-packet reference, property tests over small configs
-(JSON and CSV agreement included), zero-packet runs and replication
-summaries."""
+(JSON and CSV agreement included), zero-packet runs, replication
+summaries and the per-packet memory budget."""
 
 import hashlib
 import json
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -290,6 +291,37 @@ class TestModuleCompositionEquivalence:
         )
         report = run(cfg)
         assert report.received_ratio == pytest.approx(aloha_expected_ratio(cfg), abs=0.03)
+
+    @pytest.mark.parametrize("n_planes", [42, 43, 10_922, 10_923])
+    def test_engine_matches_per_module_pipeline_at_block_dtype_boundaries(self, n_planes):
+        # block indices take the narrowest unsigned type that holds the block
+        # count, six per aircraft: 42 and 10,922 aircraft are the last fleets
+        # of uint8 and uint16, 43 and 10,923 the first of uint16 and uint32.
+        # SMAG is last in KIND_ORDER, so the last aircraft's SMAG block is the
+        # highest index; POS feeds the tracked-aircraft metrics
+        cfg = ScenarioConfig(
+            n_planes=n_planes, duration_s=0.7, seed=5, noise_floor_dbm=-80.0,
+            enabled_kinds=frozenset({PacketKind.POS, PacketKind.SMAG}), tracked_aircraft=n_planes - 1,
+        )
+        report = assert_engine_matches_per_module_pipeline(cfg)
+        assert report.counts[-1, KIND_INDEX[PacketKind.SMAG]].sum() > 0
+        assert report.tracked_pos_lost.size > 0
+
+
+class TestMemoryBudget:
+    def test_traced_peak_per_packet(self):
+        # scenario.MAX_PACKETS rests on this budget; a fig7 run peaks inside
+        # collision_mask at about 32 traced bytes per packet
+        cfg = load_preset("fig7.scn").with_overrides(duration_s=100.0, seed=3)
+        run(cfg.with_overrides(duration_s=5.0))  # one-off allocations are not per packet
+        tracemalloc.start()
+        try:
+            before, _ = tracemalloc.get_traced_memory()
+            report = run(cfg)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert (peak - before) / report.generated_total <= 40.0
 
 
 class TestZeroPackets:

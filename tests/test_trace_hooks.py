@@ -4,8 +4,8 @@ perfbench/layers.py wraps sim1090 functions and methods by name and skips,
 with a warning, any name that no longer exists, so a rename would leave that
 benchmark layer reading zero. These tests load the benchmark's own modules by
 file path and fail on any missing hook, on a calibration whose evaluations
-the traced layer does not count, or on a packet count that differs from the
-engine's.
+the traced layer does not count, on a packet count that differs from the
+engine's, or on a traced command whose packet counters disagree.
 """
 
 import importlib.util
@@ -13,11 +13,14 @@ import json
 import sys
 from pathlib import Path
 
+import pytest
+
 from sim1090.channel import LinkBudget, aircraft_link_state
 from sim1090.cli import main
 from sim1090.engine import run
 from sim1090.packets import PacketKind
-from sim1090.scenario import ScenarioConfig, build_fleet
+from sim1090.scenario import ScenarioConfig, build_fleet, load_scenario
+from sim1090.seeding import replication_seed, stable_seed
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -77,3 +80,46 @@ def test_generated_packets_equals_engine_count(monkeypatch):
     gated = aircraft_link_state(fleet.distance_km, fleet.power_dbm, LinkBudget.from_config(cfg)).below_sensitivity
     assert 0 < gated.sum() < len(fleet)
     assert workloads.generated_packets(cfg) == run(cfg).generated_total
+
+
+TINY_SCENARIO = "n_planes = 4\nn_uavs = 2\nduration_s = 30\nseed = 3\n"
+SWEEP_VALUES = (3, 5)
+
+
+def configs_run_by(command, base):
+    """The configs of the runs that one tiny command makes, in one evaluation."""
+    if command == "sweep":
+        return [base.with_overrides(n_planes=v, seed=stable_seed(base.seed, v, rep))
+                for v in SWEEP_VALUES for rep in range(2)]
+    reps = 2 if command == "run" else 1
+    return [base.with_overrides(seed=replication_seed(base.seed, k)) for k in range(reps)]
+
+
+@pytest.mark.parametrize("argv", [
+    ["run", "--reps", "2"],
+    ["sweep", "--param", "n_planes", "--values", ",".join(map(str, SWEEP_VALUES)), "--reps", "2"],
+    ["calibrate", "--target", "0.7", "--reps", "1"],
+], ids=["run", "sweep", "calibrate"])
+def test_traced_packet_counts_agree(monkeypatch, tmp_path, argv):
+    # a traced benchmark run is correct only if the packets drawn by traced
+    # emission_times calls, those tallied by traced engine.run calls and those
+    # the benchmark re-derives for the command's runs are one number
+    # (perfbench/run.py::per_layer); an evaluation that skips either hooked
+    # call breaks it even when its output is right
+    workloads = load("workloads", monkeypatch)
+    tracer, layers = load_tracing(monkeypatch)
+    scenario, out = tmp_path / "tiny.scn", tmp_path / "out"
+    scenario.write_text(TINY_SCENARIO)
+    trace = tracer.Tracer()
+    undo, missing = layers.install(trace)
+    try:
+        assert main([*argv, "--scenario", str(scenario), "--out", str(out)]) == 0
+    finally:
+        layers.uninstall(undo)
+    assert missing == []
+    command = argv[0]
+    evaluations = json.loads(out.read_text())["iterations"] if command == "calibrate" else 1
+    configs = configs_run_by(command, load_scenario(scenario))
+    expected = evaluations * sum(workloads.generated_packets(cfg) for cfg in configs)
+    assert expected > 0
+    assert trace.counters["traffic.packets"] == trace.counters["engine.generated"] == expected

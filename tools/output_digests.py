@@ -20,9 +20,11 @@ The outputs are:
   (``run-fig6-area-uniform.json``), the only output of that branch of
   ``build_fleet``;
 - ``run`` JSON of a collision-only fleet of 150 planes that send only the
-  slow kinds AOS, ID and TSS for 30 s (``run-slow-kinds.json``).
+  slow kinds AOS, ID and TSS for 30 s (``run-slow-kinds.json``);
+- ``run`` JSON of fig3_50 with 40 planes (``run-fig3_50-40planes.json``),
+  the only run report of a fleet small enough for one-byte block indices.
 
-The scenario files of the last three items are written to the temporary
+The scenario files of the last four items are written to the temporary
 directory.
 
 Usage, from the root of a source checkout::
@@ -70,6 +72,15 @@ channel_errors_enabled = false
 duration_s = 30
 seed = 1
 """
+#: fig3_50 with 40 planes: at most 42 aircraft have at most 252 (aircraft,
+#: kind) blocks, which the engine indexes as uint8; every preset fleet is
+#: larger
+FIG3_40_PLANES = """n_planes = 40
+n_uavs = 0
+enabled_kinds = POS,ID
+channel_errors_enabled = false
+seed = 1
+"""
 
 
 def cli_output(argv: list[str], out: Path | None = None) -> bytes:
@@ -109,9 +120,10 @@ def outputs(tmp: Path):
         path = tmp / f"fig6-{name}.scn"
         path.write_text(f"{fig6}{extra}", encoding="utf-8")
         yield f"run-fig6-{name}.json", cli_output(["run", "--scenario", str(path)])
-    path = tmp / "slow-kinds.scn"
-    path.write_text(SLOW_KINDS, encoding="utf-8")
-    yield "run-slow-kinds.json", cli_output(["run", "--scenario", str(path)])
+    for name, text in (("slow-kinds", SLOW_KINDS), ("fig3_50-40planes", FIG3_40_PLANES)):
+        path = tmp / f"{name}.scn"
+        path.write_text(text, encoding="utf-8")
+        yield f"run-{name}.json", cli_output(["run", "--scenario", str(path)])
 
 
 def main() -> int:
