@@ -129,14 +129,6 @@ def ber_mpsk_exact(r, m: int = 8):
     return float(out) if out.ndim == 0 else out
 
 
-def bit_error_rate(r, link: LinkBudget):
-    """Per-bit error probability under the link's configured mode."""
-    if link.ber_mode == "exact_eq4":
-        return ber_mpsk_exact(r, PSK_ORDER)
-    # the per_bit mode length-scales the closed-form bit error rate
-    return ber_mpsk_approx(r, PSK_ORDER)
-
-
 def corruption_probability(pe_bit, kind: PacketKind, mode: str):
     """Probability that one packet of `kind` is recorded bad, elementwise over `pe_bit`.
 
@@ -164,9 +156,11 @@ def aircraft_link_state(distance_km, power_dbm, link: LinkBudget) -> LinkState:
     """Chain loss -> received power -> sensitivity gate -> SNR -> Pe over a
     fleet's distance and transmit power columns."""
     s = received_power_dbm(np.asarray(power_dbm, dtype=float), path_loss_db(distance_km, link.freq_mhz))
-    r = snr_linear(s, link.noise_floor_dbm)
+    # the per_bit mode takes the closed form, which corruption_probability
+    # length-scales later
+    ber = ber_mpsk_exact if link.ber_mode == "exact_eq4" else ber_mpsk_approx
     return LinkState(
         rx_power_dbm=s,
         below_sensitivity=~passes_sensitivity(s, link.sensitivity_dbm),
-        pe_bit=bit_error_rate(r, link),
+        pe_bit=ber(snr_linear(s, link.noise_floor_dbm), PSK_ORDER),
     )

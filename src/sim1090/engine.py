@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -50,8 +51,9 @@ def mean_std(values) -> dict[str, float]:
 
 @dataclass(frozen=True, eq=False)
 class RunReport:
-    """Outcome tallies and tracked-aircraft metrics of one run.
+    """What one run measured: its tally and the tracked aircraft's POS flags.
 
+    The tracked-aircraft metrics are computed from the flags on first read.
     Reports compare by serialized form: two runs agree iff their
     to_json_bytes() are equal.
     """
@@ -61,14 +63,25 @@ class RunReport:
     fleet: np.recarray = field(repr=False)
     #: int64 tally of shape (n_aircraft, n_kinds, n_verdicts)
     counts: np.ndarray = field(repr=False)
-    pos_loss_runs: dict[int, int]
-    update: metrics.UpdateProbabilityResult | None
     #: time-ordered lost flags of the tracked aircraft's POS packets
     tracked_pos_lost: np.ndarray = field(repr=False)
 
-    @property
-    def seed(self) -> int:
-        return self.config.seed
+    @cached_property
+    def pos_loss_runs(self) -> dict[int, int]:
+        """Runs of consecutive tracked POS losses: {run length: occurrences}."""
+        hist = metrics.loss_run_histogram(~self.tracked_pos_lost)
+        if sum(length * count for length, count in hist.items()) != int(self.tracked_pos_lost.sum()):
+            raise AssertionError("loss-run histogram does not account for every lost packet")
+        return hist
+
+    @cached_property
+    def update(self) -> metrics.UpdateProbabilityResult | None:
+        """Tracked position-update probability; None with fewer tracked POS
+        packets than one deadline window."""
+        try:
+            return metrics.update_probability(~self.tracked_pos_lost, self.config.deadline_s)
+        except metrics.InsufficientDataError:
+            return None
 
     @property
     def generated_total(self) -> int:
@@ -113,7 +126,7 @@ class RunReport:
 
 
 def run(config: ScenarioConfig) -> RunReport:
-    """Simulate one scenario: fleet, timelines, channel, collisions, metrics."""
+    """Simulate one scenario: fleet, timelines, channel, collisions, tally."""
     config.validate()
     fleet = build_fleet(config)
     link = LinkBudget.from_config(config)
@@ -187,24 +200,7 @@ def run(config: ScenarioConfig) -> RunReport:
         tracked_pos_lost = code[block == tracked * _N_KINDS + pos] != Verdict.RECEIVED
     else:
         tracked_pos_lost = np.ones(generated[tracked, pos], dtype=bool)
-    pos_hist = metrics.loss_run_histogram(~tracked_pos_lost)
-    lost_total = int(tracked_pos_lost.sum())
-    if sum(length * count for length, count in pos_hist.items()) != lost_total:
-        raise AssertionError("loss-run histogram does not account for every lost packet")
-
-    try:
-        update = metrics.update_probability(~tracked_pos_lost, config.deadline_s)
-    except metrics.InsufficientDataError:
-        update = None  # fewer tracked POS packets than one deadline window
-
-    return RunReport(
-        config=config,
-        fleet=fleet,
-        counts=counts,
-        pos_loss_runs=pos_hist,
-        update=update,
-        tracked_pos_lost=tracked_pos_lost,
-    )
+    return RunReport(config=config, fleet=fleet, counts=counts, tracked_pos_lost=tracked_pos_lost)
 
 
 @dataclass(frozen=True)

@@ -146,7 +146,7 @@ def summary_rows(summary: dict[str, dict[str, float]]) -> list[tuple]:
 
 def replication_rows(result: ReplicationResult) -> list[tuple]:
     return [
-        (k, r.seed, fmt6(r.received_ratio),
+        (k, r.config.seed, fmt6(r.received_ratio),
          fmt6(None if r.update is None else r.update.probability))
         for k, r in enumerate(result.reports)
     ]

@@ -24,10 +24,10 @@ import sim1090
 from sim1090.aloha import Verdict
 from sim1090.channel import (
     LinkBudget,
+    PSK_ORDER,
     aircraft_link_state,
     ber_mpsk_approx,
     ber_mpsk_exact,
-    bit_error_rate,
     corruption_probability,
     passes_sensitivity,
     path_loss_db,
@@ -359,11 +359,13 @@ class TestFleetIntegration:
         fleet = build_fleet(cfg)
         state = aircraft_link_state(fleet.distance_km, fleet.power_dbm, link)
         p_bad = {k: corruption_probability(state.pe_bit, k, link.ber_mode) for k in KIND_ORDER}
+        # per_bit takes the closed form; corruption_probability length-scales it
+        ber = ber_mpsk_exact if link.ber_mode == "exact_eq4" else ber_mpsk_approx
         for a in fleet:
             s = received_power_dbm(a.power_dbm, path_loss_db(a.distance_km, link.freq_mhz))
             assert state.rx_power_dbm[a.id] == s
             assert state.below_sensitivity[a.id] == (not passes_sensitivity(s, link.sensitivity_dbm))
-            pe = bit_error_rate(snr_linear(s, link.noise_floor_dbm), link)
+            pe = ber(snr_linear(s, link.noise_floor_dbm), PSK_ORDER)
             assert state.pe_bit[a.id] == pe
             for k in KIND_ORDER:
                 assert p_bad[k][a.id] == corruption_probability(pe, k, link.ber_mode)

@@ -18,7 +18,12 @@ from sim1090.channel import LinkBudget, aircraft_link_state, corruption_probabil
 from sim1090.cli import load_preset
 from sim1090.engine import run, run_replicated, summarize_reports
 from sim1090.frames import AirframeKind
-from sim1090.metrics import aloha_expected_ratio
+from sim1090.metrics import (
+    InsufficientDataError,
+    aloha_expected_ratio,
+    loss_run_histogram,
+    update_probability,
+)
 from sim1090.packets import KIND_INDEX, KIND_ORDER, PacketKind, packet_duration_s
 from sim1090.report import VERDICT_COLUMNS, replicated_csv, replicated_to_dict
 from sim1090.scenario import BER_MODES, ScenarioConfig, ValidationError, build_fleet
@@ -368,7 +373,7 @@ class TestReplication:
 
     def test_replication_seeds_are_derived_and_distinct(self):
         result = run_replicated(self.CFG, 4)
-        seeds = [r.seed for r in result.reports]
+        seeds = [r.config.seed for r in result.reports]
         assert seeds == [replication_seed(self.CFG.seed, k) for k in range(4)]
         assert len(set(seeds)) == 4
 
@@ -444,7 +449,8 @@ class TestEngineProperties:
     @settings(max_examples=40, deadline=None)
     @given(cfg=small_configs())
     def test_verdicts_partition_generated_packets(self, cfg):
-        doc = run(cfg).to_dict()
+        report = run(cfg)
+        doc = report.to_dict()
         assert sum(doc["verdict_totals"].values()) == doc["generated"]
         kinds = [k for k in KIND_ORDER if k in cfg.enabled_kinds]
         for row in doc["per_aircraft"]:
@@ -453,6 +459,18 @@ class TestEngineProperties:
             assert row["generated"] == generated
             lost = row["lost_collision"] + row["lost_corrupted"] + row["lost_below_sensitivity"]
             assert row["received"] + lost == generated
+        # the tracked aircraft's POS flags agree with its tally row, and the
+        # tracked metrics follow from the flags
+        flags = report.tracked_pos_lost
+        tally = report.counts[cfg.tracked_aircraft, KIND_INDEX[PacketKind.POS]]
+        assert flags.size == tally.sum()
+        assert flags.sum() == tally.sum() - tally[Verdict.RECEIVED]
+        assert report.pos_loss_runs == loss_run_histogram(~flags)
+        try:
+            expected = update_probability(~flags, cfg.deadline_s)
+        except InsufficientDataError:
+            expected = None
+        assert report.update == expected
 
     @settings(max_examples=25, deadline=None)
     @given(cfg=small_configs())

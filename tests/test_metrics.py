@@ -66,19 +66,17 @@ def fleet_of(*aircraft) -> np.recarray:
 
 
 def report_with(received: int, lost: int) -> RunReport:
-    """A one-plane report of `received` received and `lost` collided POS packets."""
+    """A one-plane report of `received` received and `lost` collided POS packets.
+
+    The plane is the tracked aircraft; its POS flags are the received packets
+    followed by the lost ones.
+    """
     cfg = ScenarioConfig(n_planes=1)
     counts = np.zeros((1, len(KIND_INDEX), len(Verdict)), dtype=np.int64)
     counts[0, KIND_INDEX[PacketKind.POS], Verdict.RECEIVED] = received
     counts[0, KIND_INDEX[PacketKind.POS], Verdict.LOST_COLLISION] = lost
-    return RunReport(
-        config=cfg,
-        fleet=build_fleet(cfg),
-        counts=counts,
-        pos_loss_runs={},
-        update=None,
-        tracked_pos_lost=np.zeros(0, dtype=bool),
-    )
+    tracked_pos_lost = np.repeat([False, True], [received, lost])
+    return RunReport(config=cfg, fleet=build_fleet(cfg), counts=counts, tracked_pos_lost=tracked_pos_lost)
 
 
 class TestReceivedRatio:
@@ -97,6 +95,21 @@ class TestReceivedRatio:
     def test_empty_rejected(self):
         # no packets, no ratio: the report gives None rather than a number
         assert report_with(0, 0).received_ratio is None
+
+
+class TestReportTrackedMetrics:
+    def test_metrics_follow_the_tracked_flags(self):
+        # K = 6 at the default 3 s deadline: the closing run of 7 losses
+        # fails 2 of the 9 windows
+        report = report_with(7, 7)
+        assert report.pos_loss_runs == {7: 1}
+        assert report.update == update_probability(~report.tracked_pos_lost, report.config.deadline_s)
+        assert (report.update.window_k, report.update.failed_windows, report.update.total_windows) == (6, 2, 9)
+
+    def test_fewer_flags_than_one_window_give_no_update(self):
+        report = report_with(2, 3)
+        assert report.pos_loss_runs == {3: 1}
+        assert report.update is None
 
 
 class TestLossRunHistogram:
