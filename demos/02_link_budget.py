@@ -8,7 +8,7 @@ high-SNR approximation and an upper bound on it: the two agree to within
 at most twice the exact value.
 """
 
-from sim1090 import ber_mpsk_approx, ber_mpsk_exact, path_loss_db, received_power_dbm, snr_linear
+from sim1090 import ber_mpsk_approx, ber_mpsk_exact, path_loss_db, snr_linear
 
 NOISE_FLOOR = -90.0
 SENSITIVITY = -93.0
@@ -20,7 +20,7 @@ for power, name, distances in (
 ):
     for d in distances:
         loss = path_loss_db(d, 1090.0)
-        s = received_power_dbm(power, loss)
+        s = power - loss
         r = snr_linear(s, NOISE_FLOOR)
         pe = ber_mpsk_approx(r, 8)
         gate = "" if s >= SENSITIVITY else "  (below sensitivity)"

@@ -24,9 +24,10 @@ print(
 result = run_replicated(BASE.with_overrides(noise_floor_dbm=cal.noise_floor_dbm), REPS)
 pooled = defaultdict(lambda: [0, 0])
 for report in result.reports:
-    for b in report.distance_bins(bin_width_km=5.0):
-        pooled[b.lo_km][0] += b.generated
-        pooled[b.lo_km][1] += b.received
+    for b in report.distance_bins():  # 2.5 km bins, pooled in pairs
+        lo = b.lo_km // 5.0 * 5.0
+        pooled[lo][0] += b.generated
+        pooled[lo][1] += b.received
 
 print(f"\n{'bin_km':>12s} {'received_ratio':>15s}")
 for lo in sorted(pooled):

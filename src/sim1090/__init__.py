@@ -13,9 +13,7 @@ from .channel import (
     ber_mpsk_approx,
     ber_mpsk_exact,
     corruption_probability,
-    passes_sensitivity,
     path_loss_db,
-    received_power_dbm,
     snr_linear,
 )
 from .engine import ReplicationResult, RunReport, run, run_replicated
@@ -71,9 +69,7 @@ __all__ = [
     "on_air_bits",
     "pack",
     "packet_duration_s",
-    "passes_sensitivity",
     "path_loss_db",
-    "received_power_dbm",
     "run",
     "run_replicated",
     "snr_linear",

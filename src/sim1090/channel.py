@@ -39,7 +39,7 @@ class LinkBudget:
     freq_mhz: float
     noise_floor_dbm: float
     sensitivity_dbm: float
-    ber_mode: str = "approx_eq5"
+    ber_mode: str
 
     def __post_init__(self) -> None:
         for name in ("freq_mhz", "noise_floor_dbm", "sensitivity_dbm"):
@@ -64,20 +64,10 @@ def path_loss_db(d_km, f_mhz):
     """Free-space propagation loss: 32.44 + 20 lg d + 20 lg f (km, MHz)."""
     d = np.asarray(d_km, dtype=float)
     f = np.asarray(f_mhz, dtype=float)
-    if np.any(d <= 0) or np.any(f <= 0):
+    if not (np.all(d > 0) and np.all(f > 0)):  # a NaN is not > 0
         raise ValueError(f"distance and frequency must be positive, got d={d_km} f={f_mhz}")
     out = 32.44 + 20.0 * np.log10(d) + 20.0 * np.log10(f)
     return float(out) if out.ndim == 0 else out
-
-
-def received_power_dbm(tx_power_dbm, loss_db):
-    """Demodulator input power: transmit power minus propagation loss."""
-    return tx_power_dbm - loss_db
-
-
-def passes_sensitivity(s_dbm, a_dbm):
-    """Inclusive gate: a packet enters the receiver iff S >= A."""
-    return s_dbm >= a_dbm
 
 
 def snr_linear(s_dbm, n_dbm):
@@ -155,12 +145,12 @@ class LinkState(NamedTuple):
 def aircraft_link_state(distance_km, power_dbm, link: LinkBudget) -> LinkState:
     """Chain loss -> received power -> sensitivity gate -> SNR -> Pe over a
     fleet's distance and transmit power columns."""
-    s = received_power_dbm(np.asarray(power_dbm, dtype=float), path_loss_db(distance_km, link.freq_mhz))
+    s = np.asarray(power_dbm, dtype=float) - path_loss_db(distance_km, link.freq_mhz)  # S = P - L
     # the per_bit mode takes the closed form, which corruption_probability
     # length-scales later
     ber = ber_mpsk_exact if link.ber_mode == "exact_eq4" else ber_mpsk_approx
     return LinkState(
         rx_power_dbm=s,
-        below_sensitivity=~passes_sensitivity(s, link.sensitivity_dbm),
+        below_sensitivity=~(s >= link.sensitivity_dbm),  # inclusive gate S >= A; a NaN S fails it
         pe_bit=ber(snr_linear(s, link.noise_floor_dbm), PSK_ORDER),
     )

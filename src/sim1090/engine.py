@@ -78,10 +78,7 @@ class RunReport:
     def update(self) -> metrics.UpdateProbabilityResult | None:
         """Tracked position-update probability; None with fewer tracked POS
         packets than one deadline window."""
-        try:
-            return metrics.update_probability(~self.tracked_pos_lost, self.config.deadline_s)
-        except metrics.InsufficientDataError:
-            return None
+        return metrics.update_probability(~self.tracked_pos_lost, self.config.deadline_s)
 
     @property
     def generated_total(self) -> int:
@@ -104,12 +101,9 @@ class RunReport:
         gen = int(members.sum())
         return int(members[:, :, Verdict.RECEIVED].sum()) / gen if gen else None
 
-    def distance_bins(self, bin_width_km: float = 2.5) -> list[metrics.DistanceBin]:
+    def distance_bins(self) -> list[metrics.DistanceBin]:
         return metrics.distance_binned_ratio(
-            self.fleet,
-            self.counts.sum(axis=(1, 2)),
-            self.counts[:, :, Verdict.RECEIVED].sum(axis=1),
-            bin_width_km,
+            self.fleet, self.counts.sum(axis=(1, 2)), self.counts[:, :, Verdict.RECEIVED].sum(axis=1)
         )
 
     # --- serialization (formats live in sim1090.report) ---

@@ -17,10 +17,6 @@ from .packets import SCHEDULES, PacketKind, packet_duration_s
 from .scenario import CLASSES, ScenarioConfig
 
 
-class InsufficientDataError(ValueError):
-    """Raised when a metric is undefined for the given input size."""
-
-
 class CalibrationError(RuntimeError):
     """Raised when the noise-floor search cannot reach its target."""
 
@@ -56,12 +52,13 @@ class UpdateProbabilityResult:
     total_windows: int
 
 
-def update_probability(outcomes, deadline_s: float) -> UpdateProbabilityResult:
+def update_probability(outcomes, deadline_s: float) -> UpdateProbabilityResult | None:
     """Probability that a deadline-sized window contains a received packet.
 
     The deadline maps to K = ceil(deadline / mean POS interval) consecutive
     generation slots; a window fails iff all K packets in it were lost, and
     the probability is 1 - failed/total over all N-K+1 sliding windows.
+    None when there are fewer than K packets, so no window exists.
     """
     if not 0 < deadline_s < math.inf:
         raise ValueError(f"deadline_s must be finite and > 0, got {deadline_s}")
@@ -69,9 +66,7 @@ def update_probability(outcomes, deadline_s: float) -> UpdateProbabilityResult:
     slots = deadline_s / SCHEDULES[PacketKind.POS].mean_interval_s  # inf past the float range
     n = lost.size
     if n < slots:  # n < ceil(slots) for a whole n, and ceil(inf) would overflow
-        raise InsufficientDataError(
-            f"a {deadline_s}s deadline spans {slots:g} POS intervals, more than the {n} packets"
-        )
+        return None
     k = math.ceil(slots)
     window_losses = np.convolve(lost.astype(np.int64), np.ones(k, dtype=np.int64), mode="valid")
     failed = int((window_losses == k).sum())

@@ -30,6 +30,11 @@ ALL_KINDS = frozenset(PacketKind)
 #: about 43 bytes per packet, so this keeps a run near 2 GB.
 MAX_PACKETS = 50_000_000
 
+#: Largest fleet a config may ask for. One run peaks at about 433 bytes per
+#: aircraft with no packets (fleet, per-block tallies and their key space), so
+#: this keeps the aircraft part of a run near 2 GB.
+MAX_AIRCRAFT = 5_000_000
+
 
 class ValidationError(ValueError):
     """Raised when a config violates its invariants; lists every violation."""
@@ -108,12 +113,16 @@ class ScenarioConfig:
                 f"tracked_aircraft={self.tracked_aircraft} outside fleet "
                 f"of {self.n_planes + self.n_uavs}"
             )
-        # estimated only from valid counts and duration, so that one bad value
-        # gives one problem; divided, so that no aircraft count overflows a float
-        if self.n_planes >= 0 and self.n_uavs >= 0 and 0 < self.duration_s < math.inf:
+        # budgets are checked only on valid counts and duration, so that one bad
+        # value gives one problem
+        n_aircraft = self.n_planes + self.n_uavs
+        valid_counts = self.n_planes >= 0 and self.n_uavs >= 0
+        if valid_counts and n_aircraft > MAX_AIRCRAFT:
+            out.append(f"{n_aircraft} aircraft exceed the limit of {MAX_AIRCRAFT:,} aircraft; shrink the fleet")
+        if valid_counts and 0 < self.duration_s < math.inf:
             rate_hz = sum(SCHEDULES[k].rate_hz for k in PacketKind if k in self.enabled_kinds)
             per_aircraft = rate_hz * self.duration_s
-            n_aircraft = self.n_planes + self.n_uavs
+            # divided, so that no aircraft count overflows a float
             if per_aircraft > 0 and n_aircraft > MAX_PACKETS / per_aircraft:
                 out.append(
                     f"{n_aircraft} aircraft at about {per_aircraft:.3g} packets each exceed "

@@ -29,9 +29,7 @@ from sim1090.channel import (
     ber_mpsk_approx,
     ber_mpsk_exact,
     corruption_probability,
-    passes_sensitivity,
     path_loss_db,
-    received_power_dbm,
     snr_linear,
 )
 from sim1090.cli import load_preset
@@ -67,21 +65,32 @@ class TestPathLoss:
         with pytest.raises(ValueError):
             path_loss_db(10.0, -1.0)
 
+    def test_nan_rejected(self):
+        # a NaN distance would otherwise fail later, as a NaN SNR ratio
+        for d, f in ((math.nan, 1090.0), (10.0, math.nan), (np.array([5.0, math.nan]), 1090.0)):
+            with pytest.raises(ValueError, match="must be positive"):
+                path_loss_db(d, f)
+        with pytest.raises(ValueError, match="must be positive"):
+            aircraft_link_state([math.nan], [44.0], _link())
+
 
 class TestReceivedPowerAndGate:
+    """S = P - L and the inclusive gate S >= A, on the engine's array path."""
+
     def test_plane_edge_power(self):
-        assert received_power_dbm(44.0, path_loss_db(50.0, 1090.0)) == pytest.approx(-83.168, abs=1e-3)
+        assert aircraft_link_state([50.0], [44.0], _link()).rx_power_dbm[0] == pytest.approx(-83.168, abs=1e-3)
 
     def test_uav_edge_power(self):
-        assert received_power_dbm(30.0, path_loss_db(5.0, 1090.0)) == pytest.approx(-77.168, abs=1e-3)
-
-    def test_zero_loss_identity(self):
-        assert received_power_dbm(44.0, 0.0) == 44.0
+        assert aircraft_link_state([5.0], [30.0], _link()).rx_power_dbm[0] == pytest.approx(-77.168, abs=1e-3)
 
     def test_gate_inclusive_boundary(self):
-        assert passes_sensitivity(-83.17, -93.0)
-        assert passes_sensitivity(-93.0, -93.0)
-        assert not passes_sensitivity(-93.01, -93.0)
+        # an aircraft whose S equals the sensitivity is heard; one ulp above, gated
+        for d, p in ((50.0, 44.0), (5.0, 30.0)):
+            s = float(aircraft_link_state([d], [p], _link()).rx_power_dbm[0])
+            at = replace(_link(), sensitivity_dbm=s)
+            above = replace(_link(), sensitivity_dbm=float(np.nextafter(s, math.inf)))
+            assert not aircraft_link_state([d], [p], at).below_sensitivity[0]
+            assert aircraft_link_state([d], [p], above).below_sensitivity[0]
 
 
 class TestSnr:
@@ -362,9 +371,9 @@ class TestFleetIntegration:
         # per_bit takes the closed form; corruption_probability length-scales it
         ber = ber_mpsk_exact if link.ber_mode == "exact_eq4" else ber_mpsk_approx
         for a in fleet:
-            s = received_power_dbm(a.power_dbm, path_loss_db(a.distance_km, link.freq_mhz))
+            s = a.power_dbm - path_loss_db(a.distance_km, link.freq_mhz)
             assert state.rx_power_dbm[a.id] == s
-            assert state.below_sensitivity[a.id] == (not passes_sensitivity(s, link.sensitivity_dbm))
+            assert state.below_sensitivity[a.id] == (not s >= link.sensitivity_dbm)
             pe = ber(snr_linear(s, link.noise_floor_dbm), PSK_ORDER)
             assert state.pe_bit[a.id] == pe
             for k in KIND_ORDER:

@@ -13,17 +13,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sim1090 import engine
 from sim1090.aloha import Verdict, collision_mask
 from sim1090.channel import LinkBudget, aircraft_link_state, corruption_probability
 from sim1090.cli import load_preset
 from sim1090.engine import run, run_replicated, summarize_reports
 from sim1090.frames import AirframeKind
-from sim1090.metrics import (
-    InsufficientDataError,
-    aloha_expected_ratio,
-    loss_run_histogram,
-    update_probability,
-)
+from sim1090.metrics import aloha_expected_ratio, loss_run_histogram, update_probability
 from sim1090.packets import KIND_INDEX, KIND_ORDER, PacketKind, packet_duration_s
 from sim1090.report import VERDICT_COLUMNS, replicated_csv, replicated_to_dict
 from sim1090.scenario import BER_MODES, ScenarioConfig, ValidationError, build_fleet
@@ -48,6 +44,13 @@ class TestRunBasics:
         # about 2e12 packets: validate() must stop it before the fleet is built
         with pytest.raises(ValidationError, match="limit of 50,000,000 packets"):
             run(ScenarioConfig(n_planes=200, duration_s=1e9))
+
+    def test_oversized_fleet_rejected_before_any_allocation(self, monkeypatch):
+        # about 1e4 packets but 1e9 aircraft, some 430 GB of per-aircraft
+        # arrays: the fleet must never be built
+        monkeypatch.setattr(engine, "build_fleet", lambda cfg: pytest.fail("fleet built"))
+        with pytest.raises(ValidationError, match="limit of 5,000,000 aircraft"):
+            run(ScenarioConfig(n_planes=10**9, duration_s=1e-6))
 
     def test_deterministic_byte_identical(self):
         cfg = ScenarioConfig(n_planes=25, n_uavs=5, duration_s=60.0, seed=12)
@@ -466,11 +469,7 @@ class TestEngineProperties:
         assert flags.size == tally.sum()
         assert flags.sum() == tally.sum() - tally[Verdict.RECEIVED]
         assert report.pos_loss_runs == loss_run_histogram(~flags)
-        try:
-            expected = update_probability(~flags, cfg.deadline_s)
-        except InsufficientDataError:
-            expected = None
-        assert report.update == expected
+        assert report.update == update_probability(~flags, cfg.deadline_s)
 
     @settings(max_examples=25, deadline=None)
     @given(cfg=small_configs())

@@ -14,6 +14,7 @@ from sim1090.frames import AirframeKind
 from sim1090.packets import PacketKind
 from sim1090.scenario import (
     CLASSES,
+    MAX_AIRCRAFT,
     MAX_PACKETS,
     ScenarioConfig,
     ValidationError,
@@ -172,6 +173,17 @@ class TestValidation:
                                   duration_s=MAX_PACKETS / 2)
         assert at_limit.problems() == []
         assert len(at_limit.with_overrides(duration_s=MAX_PACKETS / 2 + 1).problems()) == 1
+
+    def test_aircraft_budget(self):
+        # about 1e4 packets, well under MAX_PACKETS: only the fleet is too big
+        assert ScenarioConfig(n_planes=10**9, duration_s=1e-6).problems() == [
+            "1000000000 aircraft exceed the limit of 5,000,000 aircraft; shrink the fleet"
+        ]
+
+    def test_aircraft_budget_boundary(self):
+        at_limit = ScenarioConfig(n_planes=MAX_AIRCRAFT - 1, n_uavs=1, duration_s=1e-3)
+        assert at_limit.problems() == []
+        assert len(at_limit.with_overrides(n_uavs=2).problems()) == 1
 
     @pytest.mark.parametrize("changes", [
         {"duration_s": math.inf}, {"duration_s": math.nan}, {"duration_s": -1.0},
