@@ -28,7 +28,7 @@ from .metrics import (
     loss_run_histogram,
     update_probability,
 )
-from .packets import EmissionSchedule, PacketKind, SCHEDULES, on_air_bits, packet_duration_s
+from .packets import PacketKind, SCHEDULES, on_air_bits, packet_duration_s
 from .scenario import (
     ScenarioConfig,
     ValidationError,
@@ -43,7 +43,6 @@ __all__ = [
     "AirframeKind",
     "CalibrationError",
     "CalibrationResult",
-    "EmissionSchedule",
     "LinkBudget",
     "PacketKind",
     "ReplicationResult",

@@ -93,9 +93,6 @@ class RunReport:
         """Received share of generated packets; None when none were generated."""
         return self.received_total / self.generated_total if self.generated_total else None
 
-    def verdict_total(self, verdict: Verdict) -> int:
-        return int(self.counts[:, :, verdict].sum())
-
     def class_ratio(self, cls: AirframeKind) -> float | None:
         members = self.counts[self.fleet.kind == CLASSES.index(cls)]
         gen = int(members.sum())

@@ -80,6 +80,10 @@ def update_probability(outcomes, deadline_s: float) -> UpdateProbabilityResult |
     )
 
 
+#: width of the distance bins of the distance profile
+DISTANCE_BIN_KM = 2.5
+
+
 @dataclass(frozen=True)
 class DistanceBin:
     """Received ratio of one aircraft class within one distance bin."""
@@ -101,23 +105,20 @@ def distance_binned_ratio(
     fleet: np.recarray,
     generated_by_aircraft: np.ndarray,
     received_by_aircraft: np.ndarray,
-    bin_width_km: float = 2.5,
 ) -> list[DistanceBin]:
-    """Per-class received ratio by distance bin, in class then bin order;
-    bins that generated nothing are omitted."""
-    if not 0 < bin_width_km < math.inf:
-        raise ValueError(f"bin_width_km must be finite and > 0, got {bin_width_km}")
+    """Per-class received ratio by DISTANCE_BIN_KM distance bin, in class
+    then bin order; bins that generated nothing are omitted."""
+    d = fleet.distance_km
+    if not np.all((d > 0) & (d < math.inf)):  # a NaN is neither
+        raise ValueError(f"distances must be finite and > 0, got d={d}")
     # bins are half-open (lo, hi], matching the (0, radius] distance range
-    with np.errstate(over="ignore"):
-        idx = np.ceil(fleet.distance_km / bin_width_km) - 1.0
-    if not np.isfinite(idx).all():
-        raise ValueError(f"bin_width_km={bin_width_km} is too small: a bin index overflows")
+    idx = np.ceil(d / DISTANCE_BIN_KM) - 1.0
     keys, row = np.unique(np.stack([fleet.kind, idx], axis=1), axis=0, return_inverse=True)
     tallies = [  # aircraft, generated and received per (class, bin) key
         np.bincount(row.ravel(), weights=weights, minlength=len(keys)).astype(np.int64).tolist()
         for weights in (None, generated_by_aircraft, received_by_aircraft)
     ]
-    w = bin_width_km
+    w = DISTANCE_BIN_KM
     return [
         DistanceBin(CLASSES[int(cls)], i * w, (i + 1) * w, (i + 0.5) * w, n, gen, rec)
         for (cls, i), n, gen, rec in zip(keys.tolist(), *tallies)

@@ -60,12 +60,6 @@ class EmissionSchedule:
     jitter_lo_s: float
     jitter_hi_s: float
 
-    def __post_init__(self) -> None:
-        if not 0.0 < self.jitter_lo_s <= self.jitter_hi_s:
-            raise ValueError(
-                f"invalid jitter interval [{self.jitter_lo_s}, {self.jitter_hi_s}]"
-            )
-
     @property
     def mean_interval_s(self) -> float:
         return 0.5 * (self.jitter_lo_s + self.jitter_hi_s)

@@ -234,16 +234,3 @@ def load_scenario(path) -> ScenarioConfig:
     with open(path, "r", encoding="utf-8") as fh:
         return loads_scenario(fh.read())
 
-
-def dumps_scenario(config: ScenarioConfig) -> str:
-    """Render a config back to scenario text (all keys explicit)."""
-    lines = []
-    for f in fields(ScenarioConfig):
-        value = getattr(config, f.name)
-        if f.name == "enabled_kinds":
-            ordered = [k.value for k in PacketKind if k in value]
-            value = ",".join(ordered)
-        elif isinstance(value, bool):
-            value = "true" if value else "false"
-        lines.append(f"{f.name} = {value}")
-    return "\n".join(lines) + "\n"

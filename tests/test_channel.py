@@ -313,7 +313,7 @@ class TestClassify:
         draws = channel_rng(cfg.seed, 0).uniform(0.0, 1.0, report.generated_total)
         expected = int(np.count_nonzero(draws >= 1.0 - pe))
         assert 0 < expected < report.generated_total
-        assert report.verdict_total(Verdict.LOST_CORRUPTED) == expected
+        assert int(report.counts[:, :, Verdict.LOST_CORRUPTED].sum()) == expected
 
     def test_corruption_frequency_matches_probability(self):
         # 10^5 draws within 3 sigma binomial bounds of the chained Pe
@@ -329,11 +329,11 @@ class TestClassify:
         # packets with channel errors on, none with them off
         cfg = ScenarioConfig(n_planes=6, duration_s=30.0, seed=1, plane_radius_km=400.0, noise_floor_dbm=-80.0)
         on = run(cfg)
-        assert on.verdict_total(Verdict.LOST_BELOW_SENSITIVITY) > 0
-        assert on.verdict_total(Verdict.LOST_CORRUPTED) > 0
+        assert int(on.counts[:, :, Verdict.LOST_BELOW_SENSITIVITY].sum()) > 0
+        assert int(on.counts[:, :, Verdict.LOST_CORRUPTED].sum()) > 0
         off = run(cfg.with_overrides(channel_errors_enabled=False))
-        assert off.verdict_total(Verdict.LOST_BELOW_SENSITIVITY) == 0
-        assert off.verdict_total(Verdict.LOST_CORRUPTED) == 0
+        assert int(off.counts[:, :, Verdict.LOST_BELOW_SENSITIVITY].sum()) == 0
+        assert int(off.counts[:, :, Verdict.LOST_CORRUPTED].sum()) == 0
 
     def test_uav_class_holds_six_db_link_margin(self):
         # at matched radius quantiles the UAV class sits exactly 6 dB above
@@ -398,7 +398,8 @@ after_import = scipy_modules()
 polynomial_loaded = "numpy.polynomial" in sys.modules
 cfg = ScenarioConfig(n_planes=5, n_uavs=2, duration_s=10.0, seed=3, noise_floor_dbm=-80.0)
 modes = ("approx_eq5", "per_bit", "exact_eq4")
-corrupted = [run(cfg.with_overrides(ber_mode=m)).verdict_total(Verdict.LOST_CORRUPTED) for m in modes]
+reports = [run(cfg.with_overrides(ber_mode=m)) for m in modes]
+corrupted = [int(r.counts[:, :, Verdict.LOST_CORRUPTED].sum()) for r in reports]
 print(json.dumps([after_import, polynomial_loaded, scipy_modules(), corrupted]))
 """
     out = subprocess.run(

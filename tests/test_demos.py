@@ -1,4 +1,4 @@
-"""The demos import only names the package still has.
+"""The demos and ``sim1090.__all__`` name only what the package still has.
 
 No test runs the demos, so a public name deleted from sim1090 could break
 one unnoticed; this reads each demo's ``from sim1090... import`` lines
@@ -10,6 +10,8 @@ import importlib
 from pathlib import Path
 
 import pytest
+
+import sim1090
 
 DEMOS = sorted((Path(__file__).resolve().parents[1] / "demos").glob("*.py"))
 
@@ -26,3 +28,8 @@ def test_demo_imports_exist(path):
             module = importlib.import_module(node.module)
             missing = [a.name for a in node.names if not hasattr(module, a.name)]
             assert not missing, f"{path.name}: {node.module} has no {missing}"
+
+
+def test_package_exports_resolve():
+    missing = [name for name in sim1090.__all__ if not hasattr(sim1090, name)]
+    assert not missing, f"sim1090.__all__ names {missing}, which the package lacks"

@@ -32,7 +32,7 @@ class TestRunBasics:
         cfg = ScenarioConfig(n_planes=1, channel_errors_enabled=False, seed=3)
         report = run(cfg)
         assert report.received_ratio == 1.0
-        assert report.verdict_total(Verdict.LOST_COLLISION) == 0
+        assert int(report.counts[:, :, Verdict.LOST_COLLISION].sum()) == 0
         assert report.pos_loss_runs == {}
         assert report.update is not None and report.update.probability == 1.0
 
@@ -101,7 +101,7 @@ class TestRunBasics:
         generated = run(cfg.with_overrides(channel_errors_enabled=False)).counts.sum(axis=2)
         assert generated.sum() > 0
         assert np.array_equal(report.counts.sum(axis=2), generated)
-        assert report.verdict_total(Verdict.LOST_CORRUPTED) == 0
+        assert int(report.counts[:, :, Verdict.LOST_CORRUPTED].sum()) == 0
 
 
 class TestPinnedReports:
@@ -270,7 +270,7 @@ class TestModuleCompositionEquivalence:
             noise_floor_dbm=-80.0,
         )
         report = assert_engine_matches_per_module_pipeline(cfg)
-        assert 0 < report.verdict_total(Verdict.LOST_BELOW_SENSITIVITY) < report.generated_total
+        assert 0 < int(report.counts[:, :, Verdict.LOST_BELOW_SENSITIVITY].sum()) < report.generated_total
 
     def test_gated_tracked_aircraft_loses_every_pos_packet(self):
         cfg = ScenarioConfig(
@@ -288,7 +288,7 @@ class TestModuleCompositionEquivalence:
         cfg = ScenarioConfig(n_planes=3, duration_s=5.0, seed=3, plane_radius_km=5000.0)
         report = assert_engine_matches_per_module_pipeline(cfg)
         assert report.generated_total > 0
-        assert report.verdict_total(Verdict.LOST_BELOW_SENSITIVITY) == report.generated_total
+        assert int(report.counts[:, :, Verdict.LOST_BELOW_SENSITIVITY].sum()) == report.generated_total
 
     def test_collision_only_scenario_matches_analytic_oracle(self):
         cfg = ScenarioConfig(
@@ -481,8 +481,25 @@ class TestEngineProperties:
     def test_channel_errors_off_corrupts_and_gates_nothing(self, cfg):
         for radius_km in (cfg.plane_radius_km, 400.0):
             report = run(cfg.with_overrides(channel_errors_enabled=False, plane_radius_km=radius_km))
-            assert report.verdict_total(Verdict.LOST_CORRUPTED) == 0
-            assert report.verdict_total(Verdict.LOST_BELOW_SENSITIVITY) == 0
+            assert int(report.counts[:, :, Verdict.LOST_CORRUPTED].sum()) == 0
+            assert int(report.counts[:, :, Verdict.LOST_BELOW_SENSITIVITY].sum()) == 0
+
+    @settings(max_examples=40, deadline=None)
+    @given(cfg=small_configs(), k=st.integers(1, 4))
+    def test_appended_aircraft_leave_the_prefix_no_better_off(self, cfg, k):
+        # every stream is keyed by (seed, role, aircraft id) and the fleet
+        # stream draws planes before UAVs, so aircraft appended to the id
+        # order (UAVs, or planes when there are none) leave the first n
+        # aircraft's draws alone; their packets can only join overlap
+        # clusters, so no packet of the first n goes from lost to received
+        appended = {"n_uavs": cfg.n_uavs + k} if cfg.n_uavs else {"n_planes": cfg.n_planes + k}
+        base, more = run(cfg), run(cfg.with_overrides(**appended))
+        n = len(base.fleet)
+        assert np.array_equal(more.fleet.distance_km[:n], base.fleet.distance_km)
+        assert np.array_equal(more.counts[:n].sum(axis=2), base.counts.sum(axis=2))
+        assert np.all(more.counts[:n, :, Verdict.RECEIVED] <= base.counts[:, :, Verdict.RECEIVED])
+        assert more.tracked_pos_lost.size == base.tracked_pos_lost.size
+        assert np.all(more.tracked_pos_lost[base.tracked_pos_lost])
 
     @settings(max_examples=60, deadline=None)
     @given(cfg=small_configs(), rise_db=st.floats(0.0, 3.0))

@@ -14,6 +14,7 @@ from sim1090.engine import RunReport
 from sim1090.frames import AirframeKind
 from sim1090.metrics import (
     CALIBRATION_MAX_EVALS,
+    DISTANCE_BIN_KM,
     CalibrationError,
     DistanceBin,
     aloha_expected_ratio,
@@ -215,16 +216,17 @@ class TestUpdateProbability:
                 update_probability([True] * 10, deadline_s=deadline)
 
 
-def binned_oracle(fleet, generated_by_aircraft, received_by_aircraft, bin_width_km):
+def binned_oracle(fleet, generated_by_aircraft, received_by_aircraft):
     """Per-class distance bins by a per-aircraft loop: an oracle for
     distance_binned_ratio's one vectorised pass."""
+    w = DISTANCE_BIN_KM
     rows = []
     for cls in AirframeKind:
         buckets = {}
         for a in fleet:
             if CLASSES[a.kind] is cls:
                 # bins are half-open (lo, hi]
-                buckets.setdefault(math.ceil(a.distance_km / bin_width_km) - 1, []).append(a)
+                buckets.setdefault(math.ceil(a.distance_km / w) - 1, []).append(a)
         for idx in sorted(buckets):
             group = buckets[idx]
             gen = int(sum(generated_by_aircraft[a.id] for a in group))
@@ -232,24 +234,22 @@ def binned_oracle(fleet, generated_by_aircraft, received_by_aircraft, bin_width_
             if gen == 0:
                 continue
             rows.append(DistanceBin(
-                cls, idx * bin_width_km, (idx + 1) * bin_width_km, (idx + 0.5) * bin_width_km,
-                len(group), gen, rec,
+                cls, idx * w, (idx + 1) * w, (idx + 0.5) * w, len(group), gen, rec,
             ))
     return rows
 
 
 @st.composite
 def binned_cases(draw):
-    """(bin width, [(class, distance_km, generated, received)]): classes in any
-    order or absent, distances often on bin edges, some aircraft with nothing
+    """[(class, distance_km, generated, received)]: classes in any order or
+    absent, distances often on bin edges, some aircraft with nothing
     generated."""
-    width = draw(st.sampled_from([2.5, 1.0, 0.3, 4.0, 7.0]) | st.floats(0.05, 60.0))
-    distance = st.floats(1e-3, 60.0) | st.integers(1, 30).map(lambda k: k * width)
+    distance = st.floats(1e-3, 60.0) | st.integers(1, 30).map(lambda k: k * DISTANCE_BIN_KM)
     aircraft = draw(st.lists(
         st.tuples(st.sampled_from(CLASSES), distance, st.integers(0, 40), st.integers(0, 40)),
         max_size=20,
     ))
-    return width, [(cls, d, gen, min(rec, gen)) for cls, d, gen, rec in aircraft]
+    return [(cls, d, gen, min(rec, gen)) for cls, d, gen, rec in aircraft]
 
 
 class TestDistanceBins:
@@ -275,23 +275,23 @@ class TestDistanceBins:
         assert rows[0].center_km == pytest.approx(1.25)
         assert rows[1].center_km == pytest.approx(48.75)
 
-    def test_bad_width(self):
-        fleet = fleet_of((AirframeKind.PLANE, 10.0, 44.0))
-        for width in (0.0, float("nan"), float("inf"), 1e-320):
-            with pytest.raises(ValueError, match="bin_width_km"):
-                distance_binned_ratio(fleet, np.array([100]), np.array([62]), bin_width_km=width)
+    def test_bad_distance_rejected(self):
+        # each bad distance beside a good one, which the message lists first
+        for d in (math.inf, math.nan, 0.0, -5.0):
+            fleet = fleet_of((AirframeKind.PLANE, 10.0, 44.0), (AirframeKind.PLANE, d, 44.0))
+            with pytest.raises(ValueError, match=r"distances must be finite and > 0, got d=\[10\."):
+                distance_binned_ratio(fleet, np.array([100, 100]), np.array([62, 62]))
 
     @settings(max_examples=200, deadline=None)
     @given(binned_cases())
-    @example((2.5, [(AirframeKind.PLANE, 2.5, 10, 3), (AirframeKind.PLANE, 5.0, 0, 0),
-                    (AirframeKind.PLANE, 7.5, 4, 4), (AirframeKind.PLANE, 7.4, 6, 1)]))
-    def test_matches_per_aircraft_oracle(self, case):
-        width, aircraft = case
+    @example([(AirframeKind.PLANE, 2.5, 10, 3), (AirframeKind.PLANE, 5.0, 0, 0),
+              (AirframeKind.PLANE, 7.5, 4, 4), (AirframeKind.PLANE, 7.4, 6, 1)])
+    def test_matches_per_aircraft_oracle(self, aircraft):
         fleet = fleet_of(*((cls, d, 44.0) for cls, d, _, _ in aircraft))
         generated = np.array([a[2] for a in aircraft], dtype=np.int64)
         received = np.array([a[3] for a in aircraft], dtype=np.int64)
-        rows = distance_binned_ratio(fleet, generated, received, width)
-        assert rows == binned_oracle(fleet, generated, received, width)
+        rows = distance_binned_ratio(fleet, generated, received)
+        assert rows == binned_oracle(fleet, generated, received)
         for row in rows:  # plain Python numbers, as the JSON report needs
             assert {type(v) for v in (row.lo_km, row.hi_km, row.center_km)} == {float}
             assert {type(v) for v in (row.n_aircraft, row.generated, row.received)} == {int}
