@@ -6,11 +6,12 @@ no retransmission, so the engine batch-generates every timeline and resolves
 the merged schedule in start-time order in one sweep. This is
 observationally equivalent to popping an incremental event queue.
 
-Packets with equal start times are left in whatever order the sort gives
-them; no verdict depends on it. Overlap clusters do not depend on how tied
-starts are ordered, an exact tie between two emitters always collides, and
-the start times of one (emitter, kind) are strictly increasing, so each
-aircraft's POS outcomes stay in time order.
+Packets with equal start times keep their block-major concatenation order:
+the start order is exactly ``np.argsort(start, kind="stable")`` (see
+start_order). No verdict depends on that tie order either. Overlap clusters
+do not depend on how tied starts are ordered, an exact tie between two
+emitters always collides, and the start times of one (emitter, kind) are
+strictly increasing, so each aircraft's POS outcomes stay in time order.
 
 A run is a pure function of its config (seed included): reports serialize
 to byte-identical JSON across repeated runs.
@@ -116,6 +117,43 @@ class RunReport:
         return run_csv(self)
 
 
+def start_order(start: np.ndarray, horizon_s: float) -> tuple[np.ndarray, np.ndarray]:
+    """The stable start-time order of packets and their starts in that order.
+
+    Equal to ``(o, start[o])`` with ``o = np.argsort(start, kind="stable")``
+    for starts in [0, horizon_s), at the cost of one in-place sort of int64
+    keys ``tick << b | i``: i is the packet index in b bits and tick the start
+    scaled to the remaining bits. One bit is left spare, so a start that
+    rounds up to the horizon's tick cannot reach the sign bit. Scaling is
+    monotone, so only distinct starts that share one tick can come out
+    inverted (in index order); adjacent inverted pairs are swapped until none
+    is left, and equal starts never swap.
+    """
+    n = start.size
+    b = max(1, (n - 1).bit_length())
+    keys = np.empty(n, dtype=np.int64)
+    np.multiply(start, math.ldexp(1.0, 62 - b) / horizon_s, out=keys, casting="unsafe")
+    keys <<= b
+    keys |= np.arange(n, dtype=np.int64)
+    keys.sort()
+    order = keys
+    order &= (1 << b) - 1  # in place: the sorted keys become packet indices
+    ordered = start[order]
+    # odd-even transposition over the inverted pairs: each pass swaps pairs of
+    # one parity, which share no packet, then re-checks only their neighbours
+    # (deduplicated by sort and diff: np.unique imports numpy.ma on first use)
+    j = np.flatnonzero(ordered[1:] < ordered[:-1])
+    parity = 0
+    while j.size:
+        swap = j[j % 2 == parity]
+        ordered[swap], ordered[swap + 1] = ordered[swap + 1], ordered[swap]
+        order[swap], order[swap + 1] = order[swap + 1], order[swap]
+        j = np.sort(np.concatenate([j, swap - 1, swap + 1]).clip(0, n - 2))
+        j = j[(np.diff(j, prepend=-1) > 0) & (ordered[j + 1] < ordered[j])]
+        parity ^= 1
+    return order, ordered
+
+
 def run(config: ScenarioConfig) -> RunReport:
     """Simulate one scenario: fleet, timelines, channel, collisions, tally."""
     config.validate()
@@ -157,13 +195,12 @@ def run(config: ScenarioConfig) -> RunReport:
     del starts  # its slices pin the over-drawn emission_times buffers
     bad = np.concatenate(bad) if bad else np.zeros(start.size, dtype=bool)
 
-    # packets are resolved in start-time order; ties need no tie-break (see
-    # the module docstring)
-    order = np.argsort(start)
+    # packets are resolved in start-time order, ties in concatenation order
+    # (see the module docstring)
+    order, start = start_order(start, config.duration_s)
     # one verdict code per packet in start order; collision outranks corruption
     code = bad[order].view(np.int8) * np.int8(Verdict.LOST_CORRUPTED)
     del bad
-    start = start[order]
     # the narrowest unsigned type that holds every block index
     block = np.repeat(np.arange(sizes.size, dtype=np.min_scalar_type(sizes.size)), sizes)[order]
     # a run peaks in memory inside collision_mask, at about 32 bytes per

@@ -1,23 +1,24 @@
 """Engine tests: determinism, pinned report bytes, conservation,
 equivalence with a per-packet reference, property tests over small configs
 (JSON and CSV agreement included), zero-packet runs, replication
-summaries and the per-packet memory budget."""
+summaries, the start-time order and the per-packet memory budget."""
 
 import hashlib
 import json
+import math
 import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from sim1090 import engine
 from sim1090.aloha import Verdict, collision_mask
 from sim1090.channel import LinkBudget, aircraft_link_state, corruption_probability
 from sim1090.cli import load_preset
-from sim1090.engine import run, run_replicated, summarize_reports
+from sim1090.engine import run, run_replicated, start_order, summarize_reports
 from sim1090.frames import AirframeKind
 from sim1090.metrics import aloha_expected_ratio, loss_run_histogram, update_probability
 from sim1090.packets import KIND_INDEX, KIND_ORDER, PacketKind, packet_duration_s
@@ -118,6 +119,8 @@ class TestPinnedReports:
     All of them were re-taken for run-report v2, which drops
     ``config.bandwidth_hz`` and ``per_aircraft[].address``: each v2 report
     equalled its v1 report with those keys deleted and the schema renamed.
+    The fig7 seed-2 hash was taken while packets were ordered by
+    ``np.argsort`` of their float starts, before start_order.
     """
 
     PINNED = {
@@ -161,6 +164,12 @@ class TestPinnedReports:
                 "tracked_aircraft": 5,
             },
             "cc50d63b0136c95961265fcd97612c3e9b2d221e4fd490ea634690baedfb6148",
+        ),
+        # two distinct starts share one 41-bit tick of start_order's keys and
+        # leave its key sort inverted, so this run takes the swap repair
+        "fig7-seed2": (
+            "fig7", {"seed": 2},
+            "9151e29b86fc860fc14e7188e7658fc3d5b0292cff8c9a35e5df2ed05e401342",
         ),
     }
 
@@ -314,6 +323,63 @@ class TestModuleCompositionEquivalence:
         report = assert_engine_matches_per_module_pipeline(cfg)
         assert report.counts[-1, KIND_INDEX[PacketKind.SMAG]].sum() > 0
         assert report.tracked_pos_lost.size > 0
+
+
+def ulps_above(x: float, k: int) -> float:
+    for _ in range(k):
+        x = float(np.nextafter(x, math.inf))
+    return x
+
+
+@st.composite
+def start_arrays(draw):
+    """(starts, horizon_s): groups of starts in [0, horizon_s), each group one
+    start plus 0-3 ulps, so it holds exact ties and distinct starts in drawn
+    index order, reversed ones included. Groups near t = 0 span thousands of
+    floats per tick of start_order's keys, so their distinct starts share one."""
+    horizon = draw(st.floats(0.2, 1e6))
+    last = float(np.nextafter(horizon, 0.0))
+    starts = []
+    for _ in range(draw(st.integers(0, 12))):
+        frac = draw(st.one_of(st.floats(0.0, 1.0, exclude_max=True), st.floats(0.0, 1e-6)))
+        start = min(frac * horizon, last)
+        ulps = draw(st.lists(st.integers(0, 3), min_size=1, max_size=5))
+        starts += [min(ulps_above(start, k), last) for k in ulps]
+    return np.array(draw(st.permutations(starts)), dtype=float), horizon
+
+
+class TestStartOrder:
+    @settings(max_examples=300, deadline=None)
+    @given(case=start_arrays())
+    @example(case=(np.empty(0), 0.2))
+    @example(case=(np.array([0.3]), 1.0))
+    # four distinct starts in reversed index order inside one tick, the last
+    # tied with the first packet
+    @example(case=(np.array([1e-3] + [ulps_above(1e-3, k) for k in (3, 2, 1, 0)]), 500.0))
+    def test_equals_stable_argsort(self, case):
+        start, horizon = case
+        order, ordered = start_order(start, horizon)
+        assert np.array_equal(order, np.argsort(start, kind="stable"))
+        assert np.array_equal(ordered, start[order])
+
+    def test_repair_peak_per_packet(self):
+        # 10**6 sorted starts over 500 s; 1,000 of them are moved one ulp
+        # above their successor, so each such pair shares one 42-bit tick
+        # (about 1e-10 s) in reversed index order and must be swapped. The
+        # keys, the ordered starts and one comparison mask make about 17 bytes
+        # per packet; a full stable argsort of the ordered starts would be 40
+        start = np.sort(np.random.default_rng(7).uniform(0.0, 500.0, 1_000_000))
+        i = np.arange(1, start.size - 1, 1_000)
+        start[i] = np.nextafter(start[i + 1], math.inf)
+        tracemalloc.start()
+        try:
+            before, _ = tracemalloc.get_traced_memory()
+            order, _ = start_order(start, 500.0)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert (peak - before) / start.size <= 20.0
+        assert np.array_equal(order, np.argsort(start, kind="stable"))
 
 
 class TestMemoryBudget:
