@@ -32,12 +32,14 @@ def collision_mask(starts: np.ndarray, durations: np.ndarray, emitters: np.ndarr
 
     Packets are sorted by start. Packet j + 1 continues packet j's cluster iff it
     starts before the running maximum end; a run of consecutive such j is one cluster.
+    Starts and durations may be float or integer, in one unit; integer time is
+    resolved exactly.
     """
-    starts = np.asarray(starts, dtype=float)
+    starts = np.asarray(starts)
     emitters = np.asarray(emitters)
     if np.any(starts[1:] < starts[:-1]):
         raise ValueError("transmissions must be sorted by start time")
-    running_end = starts + np.asarray(durations, dtype=float)
+    running_end = starts + np.asarray(durations)
     np.maximum.accumulate(running_end, out=running_end)
     # the running maximum carries a NaN start or duration to its last element
     if np.isnan(running_end[-1:]).any():

@@ -6,12 +6,18 @@ no retransmission, so the engine batch-generates every timeline and resolves
 the merged schedule in start-time order in one sweep. This is
 observationally equivalent to popping an incremental event queue.
 
-Packets with equal start times keep their block-major concatenation order:
-the start order is exactly ``np.argsort(start, kind="stable")`` (see
-start_order). No verdict depends on that tie order either. Overlap clusters
-do not depend on how tied starts are ordered, an exact tie between two
-emitters always collides, and the start times of one (emitter, kind) are
-strictly increasing, so each aircraft's POS outcomes stay in time order.
+Time is kept in whole nanoseconds: each start is rounded to nearest,
+``np.rint(t * 1e9)``, and the on-air lengths (64 and 120 us) are whole
+nanoseconds, so the half-open overlap rule is exact integer arithmetic.
+Packets are ordered by one in-place sort of int64 keys
+``tick << s | block << 1 | bad``: the start tick, the index of the packet's
+(aircraft, kind) block in s - 1 bits and its corruption bit. Shifts and masks
+give all three back. Packets with equal start ticks so fall in block order,
+which is their aircraft-major concatenation order. No verdict depends on that
+tie order either. Overlap clusters do not depend on how tied starts are
+ordered, an exact tie between two emitters always collides, and the start
+ticks of one (emitter, kind) are strictly increasing, so each aircraft's POS
+outcomes stay in time order.
 
 A run is a pure function of its config (seed included): reports serialize
 to byte-identical JSON across repeated runs.
@@ -37,8 +43,8 @@ from .traffic import emission_times
 
 _N_KINDS = len(KIND_ORDER)
 _N_VERDICTS = len(Verdict)
-#: on-air time of one packet of each kind, in KIND_ORDER
-_BLOCK_DURATION = np.array([packet_duration_s(k) for k in KIND_ORDER])
+#: on-air time of one packet of each kind in whole nanoseconds, in KIND_ORDER
+_BLOCK_DURATION_NS = np.array([round(packet_duration_s(k) * 1e9) for k in KIND_ORDER], dtype=np.int32)
 _NO_PACKETS = np.empty(0)
 
 
@@ -117,43 +123,6 @@ class RunReport:
         return run_csv(self)
 
 
-def start_order(start: np.ndarray, horizon_s: float) -> tuple[np.ndarray, np.ndarray]:
-    """The stable start-time order of packets and their starts in that order.
-
-    Equal to ``(o, start[o])`` with ``o = np.argsort(start, kind="stable")``
-    for starts in [0, horizon_s), at the cost of one in-place sort of int64
-    keys ``tick << b | i``: i is the packet index in b bits and tick the start
-    scaled to the remaining bits. One bit is left spare, so a start that
-    rounds up to the horizon's tick cannot reach the sign bit. Scaling is
-    monotone, so only distinct starts that share one tick can come out
-    inverted (in index order); adjacent inverted pairs are swapped until none
-    is left, and equal starts never swap.
-    """
-    n = start.size
-    b = max(1, (n - 1).bit_length())
-    keys = np.empty(n, dtype=np.int64)
-    np.multiply(start, math.ldexp(1.0, 62 - b) / horizon_s, out=keys, casting="unsafe")
-    keys <<= b
-    keys |= np.arange(n, dtype=np.int64)
-    keys.sort()
-    order = keys
-    order &= (1 << b) - 1  # in place: the sorted keys become packet indices
-    ordered = start[order]
-    # odd-even transposition over the inverted pairs: each pass swaps pairs of
-    # one parity, which share no packet, then re-checks only their neighbours
-    # (deduplicated by sort and diff: np.unique imports numpy.ma on first use)
-    j = np.flatnonzero(ordered[1:] < ordered[:-1])
-    parity = 0
-    while j.size:
-        swap = j[j % 2 == parity]
-        ordered[swap], ordered[swap + 1] = ordered[swap + 1], ordered[swap]
-        order[swap], order[swap + 1] = order[swap + 1], order[swap]
-        j = np.sort(np.concatenate([j, swap - 1, swap + 1]).clip(0, n - 2))
-        j = j[(np.diff(j, prepend=-1) > 0) & (ordered[j + 1] < ordered[j])]
-        parity ^= 1
-    return order, ordered
-
-
 def run(config: ScenarioConfig) -> RunReport:
     """Simulate one scenario: fleet, timelines, channel, collisions, tally."""
     config.validate()
@@ -195,19 +164,29 @@ def run(config: ScenarioConfig) -> RunReport:
     del starts  # its slices pin the over-drawn emission_times buffers
     bad = np.concatenate(bad) if bad else np.zeros(start.size, dtype=bool)
 
-    # packets are resolved in start-time order, ties in concatenation order
-    # (see the module docstring)
-    order, start = start_order(start, config.duration_s)
-    # one verdict code per packet in start order; collision outranks corruption
-    code = bad[order].view(np.int8) * np.int8(Verdict.LOST_CORRUPTED)
+    # packets are resolved in start-time order, ties in block order, by one
+    # in-place sort of int64 keys tick << s | block << 1 | bad (see the module
+    # docstring)
+    np.rint(np.multiply(start, 1e9, out=start), out=start)  # in place: whole nanoseconds
+    key = start.astype(np.int64)
+    del start
+    s = sizes.size.bit_length() + 1
+    key <<= s
+    key |= np.repeat(np.arange(sizes.size, dtype=np.int64) << 1, sizes)
+    key |= bad
     del bad
+    key.sort()
+    # one verdict code per packet in start order; collision outranks corruption
+    code = (key & 1).astype(np.int8)
+    code *= np.int8(Verdict.LOST_CORRUPTED)
     # the narrowest unsigned type that holds every block index
-    block = np.repeat(np.arange(sizes.size, dtype=np.min_scalar_type(sizes.size)), sizes)[order]
-    # a run peaks in memory inside collision_mask, at about 32 bytes per
-    # packet: start, duration and their running end (float64), the block and
-    # emitter indices, the verdict code and the continuation indices
-    del order
-    duration = np.tile(_BLOCK_DURATION, n_aircraft)[block]
+    block = ((key >> 1) & ((1 << (s - 1)) - 1)).astype(np.min_scalar_type(sizes.size))
+    start = np.right_shift(key, s, out=key)  # in place: the keys become start ticks
+    del key
+    # a run peaks in memory inside collision_mask, at about 28 bytes per
+    # packet: start and its running end (int64), the duration (int32), the
+    # block and emitter indices, the verdict code and the continuation indices
+    duration = np.tile(_BLOCK_DURATION_NS, n_aircraft)[block]
     code[collision_mask(start, duration, block // _N_KINDS)] = Verdict.LOST_COLLISION
     del start, duration
 

@@ -27,7 +27,7 @@ BER_MODES = ("approx_eq5", "exact_eq4", "per_bit")
 ALL_KINDS = frozenset(PacketKind)
 
 #: Largest expected packet count a config may ask for. One run peaks at
-#: about 43 bytes per packet, so this keeps a run near 2 GB.
+#: about 37 bytes per packet, so this keeps a run under 2 GB.
 MAX_PACKETS = 50_000_000
 
 #: Largest fleet a config may ask for. One run peaks at about 433 bytes per

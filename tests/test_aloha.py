@@ -174,12 +174,18 @@ grid_packets = st.lists(
     max_size=40,
 )
 
+#: (start, duration) dtypes the grid runs in: float64, and the engine's integer
+#: clock (int64 starts, int32 durations)
+GRID_DTYPES = [(np.float64, np.float64), (np.int64, np.int32)]
 
-def grid_mask(packets, order):
-    """collision_mask over `packets` taken in `order`, mapped back to input order."""
+
+def grid_mask(packets, order, dtypes):
+    """collision_mask over `packets` taken in `order`, with (start, duration)
+    `dtypes`, mapped back to input order."""
+    start_dtype, duration_dtype = dtypes
     hit = collision_mask(
-        np.array([float(packets[i][0]) for i in order]),
-        np.array([float(packets[i][1]) for i in order]),
+        np.array([packets[i][0] for i in order], dtype=start_dtype),
+        np.array([packets[i][1] for i in order], dtype=duration_dtype),
         np.array([packets[i][2] for i in order]),
     )
     out = [False] * len(packets)
@@ -202,7 +208,8 @@ class TestCollisionMaskOnGrid:
     )
     def test_ties_and_boundaries(self, packets, expected):
         order = sorted(range(len(packets)), key=lambda i: packets[i][0])
-        assert grid_mask(packets, order) == expected
+        for dtypes in GRID_DTYPES:
+            assert grid_mask(packets, order, dtypes) == expected
 
     @settings(max_examples=300, deadline=None)
     @given(packets=grid_packets, rnd=st.randoms(use_true_random=False))
@@ -210,9 +217,13 @@ class TestCollisionMaskOnGrid:
     @example(packets=[(0, 120, 0), (120, 64, 1), (184, 120, 0), (184, 64, 0)], rnd=random.Random(1))
     def test_matches_oracle_for_any_order_of_tied_starts(self, packets, rnd):
         tie_key = [rnd.random() for _ in packets]
-        by_index = grid_mask(packets, sorted(range(len(packets)), key=lambda i: (packets[i][0], i)))
-        shuffled = grid_mask(packets, sorted(range(len(packets)), key=lambda i: (packets[i][0], tie_key[i])))
-        starts, durations, emitters = (np.array(col, dtype=float) for col in zip(*packets))
-        oracle = brute_force_collisions(starts, starts + durations, emitters)
-        assert by_index == oracle
-        assert shuffled == by_index
+        by_index_order = sorted(range(len(packets)), key=lambda i: (packets[i][0], i))
+        shuffled_order = sorted(range(len(packets)), key=lambda i: (packets[i][0], tie_key[i]))
+        for start_dtype, duration_dtype in GRID_DTYPES:
+            by_index = grid_mask(packets, by_index_order, (start_dtype, duration_dtype))
+            shuffled = grid_mask(packets, shuffled_order, (start_dtype, duration_dtype))
+            starts = np.array([p[0] for p in packets], dtype=start_dtype)
+            ends = starts + np.array([p[1] for p in packets], dtype=duration_dtype)
+            oracle = brute_force_collisions(starts, ends, [p[2] for p in packets])
+            assert by_index == oracle
+            assert shuffled == by_index

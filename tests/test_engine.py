@@ -1,29 +1,31 @@
 """Engine tests: determinism, pinned report bytes, conservation,
 equivalence with a per-packet reference, property tests over small configs
 (JSON and CSV agreement included), zero-packet runs, replication
-summaries, the start-time order and the per-packet memory budget."""
+summaries, the width of the packed sort keys and the per-packet memory
+budget."""
 
 import hashlib
 import json
-import math
 import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sim1090 import engine
 from sim1090.aloha import Verdict, collision_mask
 from sim1090.channel import LinkBudget, aircraft_link_state, corruption_probability
 from sim1090.cli import load_preset
-from sim1090.engine import run, run_replicated, start_order, summarize_reports
+from sim1090.engine import run, run_replicated, summarize_reports
 from sim1090.frames import AirframeKind
 from sim1090.metrics import aloha_expected_ratio, loss_run_histogram, update_probability
-from sim1090.packets import KIND_INDEX, KIND_ORDER, PacketKind, packet_duration_s
+from sim1090.packets import KIND_INDEX, KIND_ORDER, SCHEDULES, PacketKind, packet_duration_s
 from sim1090.report import VERDICT_COLUMNS, replicated_csv, replicated_to_dict
-from sim1090.scenario import BER_MODES, ScenarioConfig, ValidationError, build_fleet
+from sim1090.scenario import (
+    BER_MODES, MAX_AIRCRAFT, MAX_PACKETS, ScenarioConfig, ValidationError, build_fleet,
+)
 from sim1090.seeding import channel_rng, replication_seed, traffic_rng
 from sim1090.traffic import emission_times
 
@@ -119,8 +121,10 @@ class TestPinnedReports:
     All of them were re-taken for run-report v2, which drops
     ``config.bandwidth_hz`` and ``per_aircraft[].address``: each v2 report
     equalled its v1 report with those keys deleted and the schema renamed.
-    The fig7 seed-2 hash was taken while packets were ordered by
-    ``np.argsort`` of their float starts, before start_order.
+    The fig6-gated-tracked, fig6-id-smag-80dBm and fig7-seed2 hashes were
+    re-taken when starts became whole nanoseconds: each run moved by one or
+    two packet pairs whose float overlap was under 1 ns and became an exact
+    boundary contact, so they no longer collide.
     """
 
     PINNED = {
@@ -142,7 +146,7 @@ class TestPinnedReports:
         # planes beyond about 127 km are gated, the tracked aircraft 5 among them
         "fig6-gated-tracked": (
             "fig6", {"plane_radius_km": 400.0, "noise_floor_dbm": -80.0, "tracked_aircraft": 5},
-            "e3b60b6ff115b16eb281cc5392d4fca334a100772c7b70aad0bbbc8852986c83",
+            "4bd6af4e0d6011d4d46479e6d3c141773ac32594eb08764181edbc808f979d22",
         ),
         "all-gated": (
             "fig5", {"n_planes": 3, "plane_radius_km": 5000.0},
@@ -152,7 +156,7 @@ class TestPinnedReports:
         "fig6-id-smag-80dBm": (
             "fig6",
             {"enabled_kinds": frozenset({PacketKind.ID, PacketKind.SMAG}), "noise_floor_dbm": -80.0},
-            "a6f4029b6f5d19dffbe633c884f5036fb1435eac7cd6bcfcb2d69dae4d51babe",
+            "12593ad0b6f64efddad1795abc7ca2bf792b3d73204516d6fcaf62d49624babc",
         ),
         # two of six kinds with the tracked aircraft gated
         "fig6-pos-tss-gated-tracked": (
@@ -165,11 +169,11 @@ class TestPinnedReports:
             },
             "cc50d63b0136c95961265fcd97612c3e9b2d221e4fd490ea634690baedfb6148",
         ),
-        # two distinct starts share one 41-bit tick of start_order's keys and
-        # leave its key sort inverted, so this run takes the swap repair
+        # two packet pairs whose float times overlapped by under 1 ns meet
+        # exactly in whole nanoseconds, so none of the four collides
         "fig7-seed2": (
             "fig7", {"seed": 2},
-            "9151e29b86fc860fc14e7188e7658fc3d5b0292cff8c9a35e5df2ed05e401342",
+            "535aa0db70a9ecd0d222db0d432fe67f0c7446ac7517de7d3cdb967e4e10700e",
         ),
     }
 
@@ -190,7 +194,8 @@ def reference_packets(cfg):
 
     Each aircraft's timeline is drawn kind by kind from its traffic stream,
     and its channel uniforms kind by kind from its channel stream, one per
-    packet; a packet is corrupted iff its uniform is >= 1 - P_bad.
+    packet; a packet is corrupted iff its uniform is >= 1 - P_bad. Starts are
+    in the model's clock: whole nanoseconds, rounded to nearest.
     """
     link = LinkBudget.from_config(cfg)
     kinds = [k for k in KIND_ORDER if k in cfg.enabled_kinds]
@@ -199,7 +204,7 @@ def reference_packets(cfg):
     packets = []
     for a in fleet:
         t_rng = traffic_rng(cfg.seed, a.id)
-        times = {kind: emission_times(kind, cfg.duration_s, t_rng) for kind in kinds}
+        times = {kind: np.rint(emission_times(kind, cfg.duration_s, t_rng) * 1e9) for kind in kinds}
         c_rng = channel_rng(cfg.seed, a.id)
         for kind in kinds:
             p_bad = corruption_probability(float(state.pe_bit[a.id]), kind, link.ber_mode)
@@ -207,7 +212,7 @@ def reference_packets(cfg):
             for start, u in zip(times[kind], uniforms):
                 corrupted = cfg.channel_errors_enabled and bool(u >= 1.0 - p_bad)
                 gated = cfg.channel_errors_enabled and bool(state.below_sensitivity[a.id])
-                packets.append((float(start), a.id, kind, corrupted, gated))
+                packets.append((int(start), a.id, kind, corrupted, gated))
     return packets
 
 
@@ -220,8 +225,8 @@ def assert_engine_matches_per_module_pipeline(cfg):
     audible = [p for p in packets if not p[4]]
     hits = iter(
         collision_mask(
-            np.array([p[0] for p in audible], dtype=float),
-            np.array([packet_duration_s(p[2]) for p in audible], dtype=float),
+            np.array([p[0] for p in audible], dtype=np.int64),
+            np.array([round(packet_duration_s(p[2]) * 1e9) for p in audible], dtype=np.int64),
             np.array([p[1] for p in audible], dtype=np.int64),
         )
     )
@@ -325,67 +330,10 @@ class TestModuleCompositionEquivalence:
         assert report.tracked_pos_lost.size > 0
 
 
-def ulps_above(x: float, k: int) -> float:
-    for _ in range(k):
-        x = float(np.nextafter(x, math.inf))
-    return x
-
-
-@st.composite
-def start_arrays(draw):
-    """(starts, horizon_s): groups of starts in [0, horizon_s), each group one
-    start plus 0-3 ulps, so it holds exact ties and distinct starts in drawn
-    index order, reversed ones included. Groups near t = 0 span thousands of
-    floats per tick of start_order's keys, so their distinct starts share one."""
-    horizon = draw(st.floats(0.2, 1e6))
-    last = float(np.nextafter(horizon, 0.0))
-    starts = []
-    for _ in range(draw(st.integers(0, 12))):
-        frac = draw(st.one_of(st.floats(0.0, 1.0, exclude_max=True), st.floats(0.0, 1e-6)))
-        start = min(frac * horizon, last)
-        ulps = draw(st.lists(st.integers(0, 3), min_size=1, max_size=5))
-        starts += [min(ulps_above(start, k), last) for k in ulps]
-    return np.array(draw(st.permutations(starts)), dtype=float), horizon
-
-
-class TestStartOrder:
-    @settings(max_examples=300, deadline=None)
-    @given(case=start_arrays())
-    @example(case=(np.empty(0), 0.2))
-    @example(case=(np.array([0.3]), 1.0))
-    # four distinct starts in reversed index order inside one tick, the last
-    # tied with the first packet
-    @example(case=(np.array([1e-3] + [ulps_above(1e-3, k) for k in (3, 2, 1, 0)]), 500.0))
-    def test_equals_stable_argsort(self, case):
-        start, horizon = case
-        order, ordered = start_order(start, horizon)
-        assert np.array_equal(order, np.argsort(start, kind="stable"))
-        assert np.array_equal(ordered, start[order])
-
-    def test_repair_peak_per_packet(self):
-        # 10**6 sorted starts over 500 s; 1,000 of them are moved one ulp
-        # above their successor, so each such pair shares one 42-bit tick
-        # (about 1e-10 s) in reversed index order and must be swapped. The
-        # keys, the ordered starts and one comparison mask make about 17 bytes
-        # per packet; a full stable argsort of the ordered starts would be 40
-        start = np.sort(np.random.default_rng(7).uniform(0.0, 500.0, 1_000_000))
-        i = np.arange(1, start.size - 1, 1_000)
-        start[i] = np.nextafter(start[i + 1], math.inf)
-        tracemalloc.start()
-        try:
-            before, _ = tracemalloc.get_traced_memory()
-            order, _ = start_order(start, 500.0)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert (peak - before) / start.size <= 20.0
-        assert np.array_equal(order, np.argsort(start, kind="stable"))
-
-
 class TestMemoryBudget:
     def test_traced_peak_per_packet(self):
         # scenario.MAX_PACKETS rests on this budget; a fig7 run peaks inside
-        # collision_mask at about 32 traced bytes per packet
+        # collision_mask at about 28 traced bytes per packet (27.98 here)
         cfg = load_preset("fig7.scn").with_overrides(duration_s=100.0, seed=3)
         run(cfg.with_overrides(duration_s=5.0))  # one-off allocations are not per packet
         tracemalloc.start()
@@ -396,6 +344,32 @@ class TestMemoryBudget:
         finally:
             tracemalloc.stop()
         assert (peak - before) / report.generated_total <= 40.0
+
+
+class TestSortKeyWidth:
+    def test_widest_valid_config_fits_in_int64(self):
+        # run() sorts int64 keys tick << s | block << 1 | bad with
+        # s = n_blocks.bit_length() + 1 and six blocks per aircraft. problems()
+        # bounds the fleet by MAX_AIRCRAFT and its expected packets by
+        # MAX_PACKETS, so the longest ticks for a block width come from the
+        # smallest fleet of that width flying only the slowest kind. Under
+        # today's constants the widest key is exactly 63 bits
+        slowest = min(PacketKind, key=lambda k: SCHEDULES[k].rate_hz)
+        n_kinds = len(KIND_ORDER)
+        widest = 0
+        for block_bits in range(n_kinds.bit_length(), (MAX_AIRCRAFT * n_kinds).bit_length() + 1):
+            n_aircraft = -(-(1 << (block_bits - 1)) // n_kinds)
+            assert (n_aircraft * n_kinds).bit_length() == block_bits and n_aircraft <= MAX_AIRCRAFT
+            duration_s = MAX_PACKETS / (n_aircraft * SCHEDULES[slowest].rate_hz)
+            cfg = ScenarioConfig(n_planes=n_aircraft, duration_s=duration_s, enabled_kinds=frozenset({slowest}))
+            for _ in range(4):  # the quotient can round just above the bound
+                if cfg.problems():
+                    cfg = cfg.with_overrides(duration_s=float(np.nextafter(cfg.duration_s, 0.0)))
+            assert cfg.problems() == []
+            assert cfg.with_overrides(duration_s=duration_s * (1 + 1e-9)).problems() != []
+            tick_bits = int(np.rint(cfg.duration_s * 1e9)).bit_length()
+            widest = max(widest, tick_bits + block_bits + 1)
+        assert widest <= 63
 
 
 class TestZeroPackets:

@@ -13,8 +13,18 @@ records there are overwritten by name and a copied tree carries old ones. The
 file holds, per workload, the median and quartiles of each end-to-end metric
 over the untraced runs with every run's value, the failed and attempted ops,
 and the traced run's per-layer metrics. Those are hook spans around the
-functions ``perfbench/layers.py`` wraps, not stages of ``run()``. The
-environment (git commit, source hash, ``nproc``, numpy version and the rest of
+functions ``perfbench/layers.py`` wraps, not stages of ``run()``.
+
+It also times these cases directly, in this process on this tree's ``src/``:
+
+- one ``fig4`` run and one ``fig7`` run at seeds 1-5 (median wall time, and
+  the median packets per second);
+- ``run_replicated`` of ``fig6`` with 10 replications;
+- ``calibrate_noise_floor(0.4866, fig5, n_reps=10)``;
+- one run of the Tier-1 command, ``python -m pytest -q
+  --continue-on-collection-errors`` with ``src`` on ``PYTHONPATH``.
+
+The environment (git commit, source hash, ``nproc``, numpy version and the rest of
 perfbench's record environment) is written with them; ``src_clean`` says
 whether ``src/`` matches the commit.
 
@@ -29,19 +39,28 @@ the numbers are wall times.
 from __future__ import annotations
 
 import json
+import os
 import statistics
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-sys.path.insert(0, str(ROOT / "perfbench"))
+sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
 
 from run import HELD_OUT_SEED, OUT_DIR, environment  # noqa: E402
+
+from sim1090.cli import load_preset  # noqa: E402
+from sim1090.engine import run, run_replicated  # noqa: E402
+from sim1090.metrics import calibrate_noise_floor  # noqa: E402
 
 SEEDS = (11, 12, 13, 14, 15, HELD_OUT_SEED)
 TRACE_SEED = 11
 TRACE_SECONDS = 1
+RUN_SEEDS = (1, 2, 3, 4, 5)
+CALIBRATION_TARGET = 0.4866
+TIER1 = [sys.executable, "-m", "pytest", "-q", "--continue-on-collection-errors"]
 
 
 def bench(workload: str, seed: int, seconds: float, trace: int, src_sha256: str) -> dict:
@@ -60,6 +79,39 @@ def bench(workload: str, seed: int, seconds: float, trace: int, src_sha256: str)
 def quartiles(values: list[float]) -> dict:
     q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive")
     return {"median": median, "q1": q1, "q3": q3, "runs": values}
+
+
+def timed(fn) -> tuple[float, object]:
+    start = time.perf_counter()
+    out = fn()
+    return time.perf_counter() - start, out
+
+
+def direct_cases() -> dict:
+    """Wall times of the direct cases (see the module docstring)."""
+    cases = {}
+    for preset in ("fig4", "fig7"):
+        cfg = load_preset(f"{preset}.scn")
+        walls, rates = [], []
+        for seed in RUN_SEEDS:
+            wall, report = timed(lambda: run(cfg.with_overrides(seed=seed)))
+            walls.append(wall)
+            rates.append(report.generated_total / wall)
+        cases[f"{preset}_run"] = {"seeds": list(RUN_SEEDS), "wall_s": quartiles(walls),
+                                  "pkts_per_s": quartiles(rates)}
+    wall, _ = timed(lambda: run_replicated(load_preset("fig6.scn"), 10))
+    cases["fig6_reps10"] = {"wall_s": wall}
+    wall, result = timed(lambda: calibrate_noise_floor(CALIBRATION_TARGET, load_preset("fig5.scn"), n_reps=10))
+    cases["calibrate_fig5_reps10"] = {"wall_s": wall, "iterations": result.iterations,
+                                      "noise_floor_dbm": result.noise_floor_dbm,
+                                      "achieved_ratio": result.achieved_ratio}
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, ["src", os.environ.get("PYTHONPATH")]))}
+    print(" ".join(TIER1[1:]), file=sys.stderr, flush=True)
+    wall, tier1 = timed(lambda: subprocess.run(TIER1, cwd=ROOT, env=env, check=False,
+                                               capture_output=True, text=True))
+    cases["tier1"] = {"wall_s": wall, "returncode": tier1.returncode,
+                      "summary": (tier1.stdout.strip().splitlines() or [""])[-1]}
+    return cases
 
 
 def main(argv: list[str]) -> int:
@@ -92,6 +144,7 @@ def main(argv: list[str]) -> int:
         "run_seconds": spec["run_seconds"],
         "environment": env,
         "workloads": workloads,
+        "direct": direct_cases(),
     }
     Path(argv[0]).write_text(json.dumps(doc, indent=2) + "\n", encoding="utf-8")
     return 0
