@@ -6,10 +6,20 @@ no retransmission, so the engine batch-generates every timeline and resolves
 the merged schedule in start-time order in one sweep. This is
 observationally equivalent to popping an incremental event queue.
 
+Every packet that reaches the receiver lives in one preallocated buffer:
+float64 starts and, with channel errors on, one corruption bit each. No gap
+between two packets of a kind is shorter than its ``jitter_lo_s``, so
+``traffic.max_emissions`` bounds an aircraft's packets of each enabled kind,
+and the buffer holds that many per audible aircraft. An aircraft that draws
+more raises instead of being cut short. Once every aircraft has drawn, the
+start buffer gives back the slots no packet took.
+
 Time is kept in whole nanoseconds: each start is rounded to nearest,
 ``np.rint(t * 1e9)``, and the on-air lengths (64 and 120 us) are whole
 nanoseconds, so the half-open overlap rule is exact integer arithmetic.
-Packets are ordered by one in-place sort of int64 keys
+The rounded starts are written over the float ones through an int64 view of
+the buffer, one slice at a time (cast in place as one whole array, numpy
+would copy it first). Packets are ordered by one in-place sort of int64 keys
 ``tick << s | block << 1 | bad``: the start tick, the index of the packet's
 (aircraft, kind) block in s - 1 bits and its corruption bit. Shifts and masks
 give all three back. Packets with equal start ticks so fall in block order,
@@ -18,6 +28,19 @@ tie order either. Overlap clusters do not depend on how tied starts are
 ordered, an exact tie between two emitters always collides, and the start
 ticks of one (emitter, kind) are strictly increasing, so each aircraft's POS
 outcomes stay in time order.
+
+The sorted packets are resolved in chunks of at least ``_CHUNK``, cut only
+before a packet that starts at least the longest on-air time after the
+packet before it. Every packet up to that one has ended by its start, so no
+overlap cluster spans a cut and each chunk is resolved exactly on its own; a
+stretch with no such gap stays in one chunk, which in a dense enough fleet
+is the whole run. A chunk's keys become its start ticks in place, so beside
+the keys it holds only narrow arrays (emitter, kind, duration and code, 10
+bytes per packet at most) and ``collision_mask``'s temporaries. Each
+packet's key is then overwritten with its tally code
+``block << 2 | bad << 1 | collided``, and one ``np.bincount`` over the
+buffer gives the tally: code 0 is received, 1 and 3 are collisions
+(collision outranks corruption) and 2 is corrupted.
 
 A run is a pure function of its config (seed included): reports serialize
 to byte-identical JSON across repeated runs.
@@ -39,13 +62,24 @@ from .packets import KIND_INDEX, KIND_ORDER, PacketKind, packet_duration_s
 from .report import json_bytes, run_csv, run_dict
 from .scenario import CLASSES, ScenarioConfig, build_fleet
 from .seeding import channel_rng, replication_seed, traffic_rng
-from .traffic import emission_times
+from .traffic import emission_times, max_emissions
 
 _N_KINDS = len(KIND_ORDER)
 _N_VERDICTS = len(Verdict)
 #: on-air time of one packet of each kind in whole nanoseconds, in KIND_ORDER
-_BLOCK_DURATION_NS = np.array([round(packet_duration_s(k) * 1e9) for k in KIND_ORDER], dtype=np.int32)
+_KIND_DURATION_NS = np.array([round(packet_duration_s(k) * 1e9) for k in KIND_ORDER], dtype=np.int32)
+_LONGEST_NS = int(_KIND_DURATION_NS.max())
 _NO_PACKETS = np.empty(0)
+#: bits of a packet's tally code bad << 1 | collided below its block index.
+#: The tally reads codes 0-2 as the verdicts of those values and folds code 3
+#: (collided and corrupted) from the LOST_BELOW_SENSITIVITY column into
+#: LOST_COLLISION, so it needs exactly these four verdicts with these values
+_CODE_BITS = 2
+if (Verdict.RECEIVED, Verdict.LOST_COLLISION, Verdict.LOST_CORRUPTED, Verdict.LOST_BELOW_SENSITIVITY) != tuple(range(_N_VERDICTS)):
+    raise ImportError("the engine's tally codes need the verdicts RECEIVED, LOST_COLLISION, LOST_CORRUPTED, "
+                      "LOST_BELOW_SENSITIVITY = 0, 1, 2, 3")
+#: packets per slice of the key build and, at least, per collision resolve
+_CHUNK = 1 << 15
 
 
 def mean_std(values) -> dict[str, float]:
@@ -123,6 +157,19 @@ class RunReport:
         return run_csv(self)
 
 
+def _cluster_free_cut(key: np.ndarray, s: int, b: int) -> int:
+    """The first index >= b whose packet starts at least the longest on-air
+    time after the packet before it, or key.size; key holds sorted packed
+    keys with the start tick above bit s."""
+    while b < key.size:
+        tick = key[b - 1 : b + _CHUNK] >> s
+        gap = np.flatnonzero(np.diff(tick) >= _LONGEST_NS)
+        if gap.size:
+            return b + int(gap[0])
+        b += _CHUNK
+    return key.size
+
+
 def run(config: ScenarioConfig) -> RunReport:
     """Simulate one scenario: fleet, timelines, channel, collisions, tally."""
     config.validate()
@@ -143,7 +190,11 @@ def run(config: ScenarioConfig) -> RunReport:
     # the receiver, so its blocks are tallied but left empty, take no part in
     # ordering or collisions and draw nothing from the channel stream
     draws = [k if k in config.enabled_kinds else None for k in KIND_ORDER]
-    starts, bad, generated = [], [], []
+    capacity = sum(max_emissions(k, config.duration_s) for k in draws if k is not None)
+    start = np.empty(capacity * int(audible.sum()))
+    bad = np.empty(start.size if errors_on else 0, dtype=bool)
+    generated = []
+    n = 0
     for i in range(n_aircraft):
         t_rng = traffic_rng(config.seed, i)
         times = [_NO_PACKETS if kind is None else emission_times(kind, config.duration_s, t_rng)
@@ -151,62 +202,92 @@ def run(config: ScenarioConfig) -> RunReport:
         n_times = [t.size for t in times]
         generated.extend(n_times)
         if audible[i]:
-            starts.extend(t for t in times if t.size)
+            m = sum(n_times)
+            if m > capacity:
+                raise AssertionError(
+                    f"aircraft {i} emitted {m} packets, above its bound of {capacity}: "
+                    "traffic.max_emissions summed over the enabled kinds"
+                )
+            np.concatenate(times, out=start[n : n + m])
             if errors_on:
                 # one uniform per packet, in kind order: a packet is bad iff
                 # its uniform is >= 1 - P_bad of its kind
-                uniforms = channel_rng(config.seed, i).random(sum(n_times))
-                bad.append(uniforms >= np.repeat(p_good[i], n_times))
+                uniforms = channel_rng(config.seed, i).random(m)
+                np.greater_equal(uniforms, np.repeat(p_good[i], n_times), out=bad[n : n + m])
+            n += m
+    # give back the slots no packet took; no view of the buffer is left
+    start.resize(n, refcheck=False)
 
     generated = np.array(generated, dtype=np.int64).reshape(n_aircraft, _N_KINDS)
     sizes = (generated * audible[:, None]).ravel()
-    start = np.concatenate(starts or [_NO_PACKETS])
-    del starts  # its slices pin the over-drawn emission_times buffers
-    bad = np.concatenate(bad) if bad else np.zeros(start.size, dtype=bool)
+    block_start = np.zeros(sizes.size + 1, dtype=np.int64)
+    np.cumsum(sizes, out=block_start[1:])
 
     # packets are resolved in start-time order, ties in block order, by one
-    # in-place sort of int64 keys tick << s | block << 1 | bad (see the module
-    # docstring)
-    np.rint(np.multiply(start, 1e9, out=start), out=start)  # in place: whole nanoseconds
-    key = start.astype(np.int64)
-    del start
+    # in-place sort of int64 keys tick << s | block << 1 | bad, written over
+    # the float starts one chunk at a time (see the module docstring)
     s = sizes.size.bit_length() + 1
-    key <<= s
-    key |= np.repeat(np.arange(sizes.size, dtype=np.int64) << 1, sizes)
-    key |= bad
-    del bad
+    key = start.view(np.int64)
+    for a in range(0, n, _CHUNK):
+        b = min(a + _CHUNK, n)
+        k = key[a:b]
+        np.rint(start[a:b] * 1e9, out=k, casting="unsafe")
+        k <<= s
+        first = np.searchsorted(block_start, a, side="right") - 1
+        last = np.searchsorted(block_start, b)
+        k |= np.repeat(np.arange(first, last) << 1, np.diff(np.clip(block_start[first : last + 1], a, b)))
+        if errors_on:
+            k |= bad[a:b]
+    del start, block_start, bad
     key.sort()
-    # one verdict code per packet in start order; collision outranks corruption
-    code = (key & 1).astype(np.int8)
-    code *= np.int8(Verdict.LOST_CORRUPTED)
-    # the narrowest unsigned type that holds every block index
-    block = ((key >> 1) & ((1 << (s - 1)) - 1)).astype(np.min_scalar_type(sizes.size))
-    start = np.right_shift(key, s, out=key)  # in place: the keys become start ticks
-    del key
-    # a run peaks in memory inside collision_mask, at about 28 bytes per
-    # packet: start and its running end (int64), the duration (int32), the
-    # block and emitter indices, the verdict code and the continuation indices
-    duration = np.tile(_BLOCK_DURATION_NS, n_aircraft)[block]
-    code[collision_mask(start, duration, block // _N_KINDS)] = Verdict.LOST_COLLISION
-    del start, duration
 
-    # one (aircraft, kind, verdict) tally over the key block * n_verdicts + code
-    key = block.astype(np.intp)
-    key *= _N_VERDICTS
-    key += code
-    counts = np.bincount(key, minlength=sizes.size * _N_VERDICTS).reshape(n_aircraft, _N_KINDS, _N_VERDICTS)
-    counts[~audible, :, Verdict.LOST_BELOW_SENSITIVITY] = generated[~audible]
+    # resolve the sorted packets one cluster-free chunk at a time, with the
+    # start ticks in place of the keys and the bad bits as codes, and write
+    # each packet's tally code block << 2 | bad << 1 | collided over its key
+    # (see the module docstring)
+    tracked = config.tracked_aircraft
+    pos = KIND_INDEX[PacketKind.POS]
+    # a gated aircraft has no packets here and loses every one
+    tracked_pos_lost = np.ones(generated[tracked, pos], dtype=bool)
+    n_tracked = 0
+    # the narrowest unsigned type that holds every block index
+    block_type = np.min_scalar_type(sizes.size)
+    a = 0
+    while a < n:
+        b = _cluster_free_cut(key, s, a + _CHUNK)
+        k = key[a:b]
+        code = (k & 1).astype(np.int8)
+        block = k >> 1
+        block &= (1 << (s - 1)) - 1
+        block = block.astype(block_type)
+        emitter = block // _N_KINDS
+        kind = (block - emitter * _N_KINDS).astype(np.uint8)
+        del block
+        np.right_shift(k, s, out=k)
+        duration = _KIND_DURATION_NS.take(kind)
+        code <<= 1
+        code |= collision_mask(k, duration, emitter)
+        del duration
+        lost = code[(emitter == tracked) & (kind == pos)] != 0
+        tracked_pos_lost[n_tracked : n_tracked + lost.size] = lost
+        n_tracked += lost.size
+        block = emitter * _N_KINDS
+        block += kind
+        k[:] = block
+        k <<= _CODE_BITS
+        k |= code
+        a = b
+
+    # one (aircraft, kind, code) tally, as many codes per block as there are
+    # verdicts; code 3, collided and corrupted, is a collision, which outranks
+    # corruption, and its column then takes the gated packets
+    counts = np.bincount(key, minlength=sizes.size << _CODE_BITS).reshape(n_aircraft, _N_KINDS, _N_VERDICTS)
+    counts[:, :, Verdict.LOST_COLLISION] += counts[:, :, Verdict.LOST_BELOW_SENSITIVITY]
+    np.multiply(generated, ~audible[:, None], out=counts[:, :, Verdict.LOST_BELOW_SENSITIVITY])
 
     # conservation: the verdict partition must reproduce the generated tallies
     if not np.array_equal(counts.sum(axis=2), generated):
         raise AssertionError("outcome partition does not match generated packet counts")
-
-    tracked = config.tracked_aircraft
-    pos = KIND_INDEX[PacketKind.POS]
-    if audible[tracked]:
-        tracked_pos_lost = code[block == tracked * _N_KINDS + pos] != Verdict.RECEIVED
-    else:
-        tracked_pos_lost = np.ones(generated[tracked, pos], dtype=bool)
     return RunReport(config=config, fleet=fleet, counts=counts, tracked_pos_lost=tracked_pos_lost)
 
 

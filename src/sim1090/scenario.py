@@ -26,8 +26,11 @@ BER_MODES = ("approx_eq5", "exact_eq4", "per_bit")
 
 ALL_KINDS = frozenset(PacketKind)
 
-#: Largest expected packet count a config may ask for. One run peaks at
-#: about 37 bytes per packet, so this keeps a run under 2 GB.
+#: Largest expected packet count a config may ask for. A run peaks at about
+#: 12 traced bytes per packet on fig7, whose resolve is cut into chunks of
+#: about 32 K packets, and at about 50 on a fleet so dense that no gap cuts
+#: it (20,000 planes over 20 s), where one chunk as long as the run peaks
+#: inside collision_mask. So this keeps the packets of a run under 2.5 GB.
 MAX_PACKETS = 50_000_000
 
 #: Largest fleet a config may ask for. One run peaks at about 433 bytes per

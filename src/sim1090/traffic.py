@@ -14,6 +14,15 @@ import numpy as np
 from .packets import PacketKind, SCHEDULES
 
 
+def max_emissions(kind: PacketKind, horizon_s: float) -> int:
+    """An upper bound on the emissions of one kind in [0, horizon_s).
+
+    No gap is shorter than jitter_lo_s; the + 1 covers the float rounding of
+    the gaps' running sum at exact multiples of it.
+    """
+    return int(horizon_s / SCHEDULES[kind].jitter_lo_s) + 1
+
+
 def emission_times(kind: PacketKind, horizon_s: float, rng: np.random.Generator) -> np.ndarray:
     """All emission start times of one kind in [0, horizon_s), ascending.
 
@@ -23,8 +32,8 @@ def emission_times(kind: PacketKind, horizon_s: float, rng: np.random.Generator)
     if horizon_s <= 0:
         raise ValueError(f"horizon_s must be > 0, got {horizon_s}")
     sched = SCHEDULES[kind]
-    # gaps >= jitter_lo_s, so this many draws always reach the horizon
-    n = int(horizon_s / sched.jitter_lo_s) + 2
+    # one draw past the bound always reaches the horizon
+    n = max_emissions(kind, horizon_s) + 1
     times = np.cumsum(rng.uniform(sched.jitter_lo_s, sched.jitter_hi_s, n))
     # gaps are positive, so the times below the horizon are a prefix
     return times[: np.searchsorted(times, horizon_s)]

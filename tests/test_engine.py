@@ -1,8 +1,9 @@
 """Engine tests: determinism, pinned report bytes, conservation,
 equivalence with a per-packet reference, property tests over small configs
 (JSON and CSV agreement included), zero-packet runs, replication
-summaries, the width of the packed sort keys and the per-packet memory
-budget."""
+summaries, the width of the packed sort keys, the per-packet memory
+budget, the packet buffer's capacity check and the chunked collision
+resolve."""
 
 import hashlib
 import json
@@ -27,7 +28,7 @@ from sim1090.scenario import (
     BER_MODES, MAX_AIRCRAFT, MAX_PACKETS, ScenarioConfig, ValidationError, build_fleet,
 )
 from sim1090.seeding import channel_rng, replication_seed, traffic_rng
-from sim1090.traffic import emission_times
+from sim1090.traffic import emission_times, max_emissions
 
 
 class TestRunBasics:
@@ -331,10 +332,10 @@ class TestModuleCompositionEquivalence:
 
 
 class TestMemoryBudget:
-    def test_traced_peak_per_packet(self):
-        # scenario.MAX_PACKETS rests on this budget; a fig7 run peaks inside
-        # collision_mask at about 28 traced bytes per packet (27.98 here)
-        cfg = load_preset("fig7.scn").with_overrides(duration_s=100.0, seed=3)
+    """scenario.MAX_PACKETS rests on these traced peaks per packet."""
+
+    @staticmethod
+    def traced_peak_per_packet(cfg):
         run(cfg.with_overrides(duration_s=5.0))  # one-off allocations are not per packet
         tracemalloc.start()
         try:
@@ -343,7 +344,50 @@ class TestMemoryBudget:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert (peak - before) / report.generated_total <= 40.0
+        return (peak - before) / report.generated_total
+
+    def test_traced_peak_per_packet(self):
+        # a fig7 run resolves chunks of about _CHUNK packets and peaks with
+        # its packet keys and one chunk's temporaries: 11.76 traced bytes per
+        # packet here (27.98 before the chunked resolve)
+        cfg = load_preset("fig7.scn").with_overrides(duration_s=100.0, seed=3)
+        assert self.traced_peak_per_packet(cfg) <= 16.0
+
+    def test_dense_fleet_resolved_as_one_chunk(self, monkeypatch):
+        # a fleet with no 120 us gap between starts is resolved as one chunk
+        # as long as the run. It peaks inside collision_mask with the packet
+        # keys, 10 bytes per packet of narrow arrays and the temporaries of
+        # the many packets that continue a cluster: 43.1 traced bytes per
+        # packet here (615,156 packets)
+        monkeypatch.setattr(engine, "_CHUNK", MAX_PACKETS)
+        assert self.traced_peak_per_packet(ScenarioConfig(n_planes=3000, duration_s=20.0, seed=1)) <= 48.0
+
+
+class TestPacketBufferCapacity:
+    @pytest.mark.parametrize("slack", [0, 1])
+    @pytest.mark.parametrize("over", [0, 2])
+    def test_over_capacity_aircraft_raises_before_writing(self, monkeypatch, over, slack):
+        # aircraft `over` emits one packet above the bound and the others
+        # bound - slack. With no slack the last aircraft's packets would pass
+        # the end of the buffer; with slack an unchecked run would shift the
+        # later aircraft's packets and finish without an error
+        cfg = ScenarioConfig(
+            n_planes=3, duration_s=10.0, seed=1, channel_errors_enabled=False,
+            enabled_kinds=frozenset({PacketKind.POS}),
+        )
+        bound = max_emissions(PacketKind.POS, cfg.duration_s)
+        calls = []
+
+        def emission_times(kind, horizon_s, rng):
+            calls.append(kind)
+            size = bound + 1 if len(calls) == over + 1 else bound - slack
+            return np.linspace(0.0, horizon_s, size, endpoint=False)
+
+        monkeypatch.setattr(engine, "emission_times", emission_times)
+        message = f"aircraft {over} emitted {bound + 1} packets, above its bound of {bound}: traffic.max_emissions"
+        with pytest.raises(AssertionError, match=message):
+            run(cfg)
+        assert len(calls) == over + 1
 
 
 class TestSortKeyWidth:
@@ -551,6 +595,78 @@ class TestEngineProperties:
         assert loud.generated_total == quiet.generated_total
         if quiet.generated_total:
             assert loud.received_ratio <= quiet.received_ratio
+
+
+def chunked_run(cfg, chunk):
+    """run(cfg) with engine._CHUNK = chunk, and the emitters of each chunk
+    that reached collision_mask."""
+    chunks = []
+
+    def spy(starts, durations, emitters):
+        chunks.append(emitters)
+        return collision_mask(starts, durations, emitters)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(engine, "_CHUNK", chunk)
+        mp.setattr(engine, "collision_mask", spy)
+        return run(cfg), chunks
+
+
+class TestChunkedResolve:
+    """The resolve cuts the sorted packets only where a start follows the one
+    before it by at least the longest on-air time, so no overlap cluster
+    spans two chunks and the chunk size never moves a report byte."""
+
+    CHUNKS = (1, 2, 7, 64)
+
+    def assert_chunk_free(self, cfg):
+        whole = run(cfg)
+        chunks = {}
+        for chunk in self.CHUNKS:
+            report, chunks[chunk] = chunked_run(cfg, chunk)
+            assert report.to_json_bytes() == whole.to_json_bytes()
+            assert np.array_equal(report.counts, whole.counts)
+            assert np.array_equal(report.tracked_pos_lost, whole.tracked_pos_lost)
+            audible = int(whole.counts[:, :, :Verdict.LOST_BELOW_SENSITIVITY].sum())
+            assert sum(e.size for e in chunks[chunk]) == audible
+        return whole, chunks
+
+    @settings(max_examples=30, deadline=None)
+    @given(cfg=small_configs())
+    def test_chunk_size_keeps_report_bytes(self, cfg):
+        self.assert_chunk_free(cfg)
+
+    def test_dense_fleet_grows_chunks_to_a_gap(self):
+        # 3,000 planes over 0.5 s: over 9,000 packets, about 20-30 us apart
+        # in the busy stretches, where no 120 us gap comes for hundreds of
+        # packets
+        report, chunks = self.assert_chunk_free(ScenarioConfig(n_planes=3000, duration_s=0.5, seed=1))
+        assert report.generated_total > 9000
+        for chunk in self.CHUNKS:
+            assert len(chunks[chunk]) > 1
+            assert max(e.size for e in chunks[chunk]) > 64
+
+    def test_tracked_pos_packets_span_many_chunks(self):
+        cfg = ScenarioConfig(n_planes=20, n_uavs=5, duration_s=30.0, seed=9, noise_floor_dbm=-80.0, tracked_aircraft=22)
+        report, chunks = self.assert_chunk_free(cfg)
+        assert report.tracked_pos_lost.size > 50
+        assert 0 < report.tracked_pos_lost.sum() < report.tracked_pos_lost.size
+        assert sum(bool(np.any(e == cfg.tracked_aircraft)) for e in chunks[64]) > 20
+
+    def test_gated_tracked_aircraft(self):
+        cfg = ScenarioConfig(
+            n_planes=6, n_uavs=2, duration_s=40.0, seed=77, plane_radius_km=400.0, noise_floor_dbm=-80.0,
+        )
+        fleet = build_fleet(cfg)
+        gated = aircraft_link_state(fleet.distance_km, fleet.power_dbm, LinkBudget.from_config(cfg)).below_sensitivity
+        report, _ = self.assert_chunk_free(cfg.with_overrides(tracked_aircraft=int(np.flatnonzero(gated)[0])))
+        assert report.tracked_pos_lost.size > 0 and report.tracked_pos_lost.all()
+
+    def test_zero_packets(self):
+        cfg = load_preset("fig3_50.scn").with_overrides(duration_s=0.1, enabled_kinds=frozenset({PacketKind.ID}))
+        report, chunks = self.assert_chunk_free(cfg)
+        assert report.generated_total == 0
+        assert all(chunks[chunk] == [] for chunk in self.CHUNKS)
 
 
 def rendered(value) -> str:

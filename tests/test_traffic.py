@@ -1,13 +1,16 @@
-"""Emission timeline tests: jitter bounds, rates, determinism."""
+"""Emission timeline tests: jitter bounds, the per-kind count bound the
+engine sizes its packet buffer by, rates, determinism."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sim1090.engine import run
 from sim1090.packets import KIND_INDEX, KIND_ORDER, SCHEDULES, PacketKind, packet_duration_s
 from sim1090.scenario import ScenarioConfig, build_fleet
 from sim1090.seeding import traffic_rng
-from sim1090.traffic import emission_times
+from sim1090.traffic import emission_times, max_emissions
 
 ALL_KINDS = frozenset(PacketKind)
 
@@ -61,6 +64,29 @@ class TestEmissionTimes:
     def test_zero_horizon_rejected(self):
         with pytest.raises(ValueError):
             emission_times(PacketKind.POS, 0.0, np.random.default_rng(0))
+
+    @settings(max_examples=300, deadline=None)
+    @given(case=st.data(), seed=st.integers(0, 2**32 - 1))
+    def test_count_within_capacity_bound(self, case, seed):
+        # engine.run sizes its packet buffer by max_emissions; a stream whose
+        # every gap is jitter_lo_s is the worst case
+        kind = case.draw(st.sampled_from(KIND_ORDER))
+        lo = SCHEDULES[kind].jitter_lo_s
+        horizon = case.draw(st.one_of(
+            st.floats(0.0, lo, exclude_min=True),
+            st.integers(1, 20_000).map(lambda m: m * lo),
+            st.floats(lo, 5_000.0),
+        ))
+        bound = max_emissions(kind, horizon)
+        assert emission_times(kind, horizon, np.random.default_rng(seed)).size <= bound
+        assert emission_times(kind, horizon, ShortestGaps()).size <= bound
+
+
+class ShortestGaps:
+    """A stream whose every jittered gap is the shortest one."""
+
+    def uniform(self, low, high, size):
+        return np.full(size, low)
 
 
 class TestGenerateTimeline:
