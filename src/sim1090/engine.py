@@ -34,13 +34,19 @@ before a packet that starts at least the longest on-air time after the
 packet before it. Every packet up to that one has ended by its start, so no
 overlap cluster spans a cut and each chunk is resolved exactly on its own; a
 stretch with no such gap stays in one chunk, which in a dense enough fleet
-is the whole run. A chunk's keys become its start ticks in place, so beside
-the keys it holds only narrow arrays (emitter, kind, duration and code, 10
-bytes per packet at most) and ``collision_mask``'s temporaries. Each
+is the whole run. The search for a cut scans a window of ``_CUT_WINDOW``
+packets and doubles it until it finds such a gap, which on a sparse fleet
+comes a few packets past the chunk's least size. A chunk's low key bits
+``block << 1 | bad`` are read once into a low code of the narrowest
+unsigned type that holds them, and its keys become its start ticks in
+place. The emitter is the low code // (2 * the kind count) and the duration
+is looked up by the rest, ``kind << 1 | bad``. So beside the keys a chunk
+holds only its low codes, emitters and durations (8 bytes per packet up to
+5,461 aircraft, 12 above) and ``collision_mask``'s temporaries. Each
 packet's key is then overwritten with its tally code
-``block << 2 | bad << 1 | collided``, and one ``np.bincount`` over the
-buffer gives the tally: code 0 is received, 1 and 3 are collisions
-(collision outranks corruption) and 2 is corrupted.
+``low << 1 | collided``, that is ``block << 2 | bad << 1 | collided``, and
+one ``np.bincount`` over the buffer gives the tally: code 0 is received, 1
+and 3 are collisions (collision outranks corruption) and 2 is corrupted.
 
 A run is a pure function of its config (seed included): reports serialize
 to byte-identical JSON across repeated runs.
@@ -69,6 +75,8 @@ _N_VERDICTS = len(Verdict)
 #: on-air time of one packet of each kind in whole nanoseconds, in KIND_ORDER
 _KIND_DURATION_NS = np.array([round(packet_duration_s(k) * 1e9) for k in KIND_ORDER], dtype=np.int32)
 _LONGEST_NS = int(_KIND_DURATION_NS.max())
+#: on-air time by a packet's low code modulo 2 * _N_KINDS, kind << 1 | bad
+_LOW_DURATION_NS = np.repeat(_KIND_DURATION_NS, 2)
 _NO_PACKETS = np.empty(0)
 #: bits of a packet's tally code bad << 1 | collided below its block index.
 #: The tally reads codes 0-2 as the verdicts of those values and folds code 3
@@ -80,6 +88,8 @@ if (Verdict.RECEIVED, Verdict.LOST_COLLISION, Verdict.LOST_CORRUPTED, Verdict.LO
                       "LOST_BELOW_SENSITIVITY = 0, 1, 2, 3")
 #: packets per slice of the key build and, at least, per collision resolve
 _CHUNK = 1 << 15
+#: packets in the first window _cluster_free_cut scans for a gap
+_CUT_WINDOW = 256
 
 
 def mean_std(values) -> dict[str, float]:
@@ -160,13 +170,16 @@ class RunReport:
 def _cluster_free_cut(key: np.ndarray, s: int, b: int) -> int:
     """The first index >= b whose packet starts at least the longest on-air
     time after the packet before it, or key.size; key holds sorted packed
-    keys with the start tick above bit s."""
+    keys with the start tick above bit s. The scan starts with a window of
+    _CUT_WINDOW packets and doubles it until it finds such a gap."""
+    window = _CUT_WINDOW
     while b < key.size:
-        tick = key[b - 1 : b + _CHUNK] >> s
+        tick = key[b - 1 : b + window] >> s
         gap = np.flatnonzero(np.diff(tick) >= _LONGEST_NS)
         if gap.size:
             return b + int(gap[0])
-        b += _CHUNK
+        b += window
+        window <<= 1
     return key.size
 
 
@@ -241,41 +254,38 @@ def run(config: ScenarioConfig) -> RunReport:
     del start, block_start, bad
     key.sort()
 
-    # resolve the sorted packets one cluster-free chunk at a time, with the
-    # start ticks in place of the keys and the bad bits as codes, and write
-    # each packet's tally code block << 2 | bad << 1 | collided over its key
-    # (see the module docstring)
+    # resolve the sorted packets one cluster-free chunk at a time, from their
+    # start ticks and low codes block << 1 | bad, and write each packet's
+    # tally code low << 1 | collided over its key (see the module docstring)
     tracked = config.tracked_aircraft
     pos = KIND_INDEX[PacketKind.POS]
+    tracked_block = tracked * _N_KINDS + pos
     # a gated aircraft has no packets here and loses every one
     tracked_pos_lost = np.ones(generated[tracked, pos], dtype=bool)
     n_tracked = 0
-    # the narrowest unsigned type that holds every block index
-    block_type = np.min_scalar_type(sizes.size)
+    # the narrowest unsigned type that holds every low code. It has at least
+    # s bits, and a cast to it keeps a key's low bits, so a masked cast of
+    # the key is its low code
+    low_type = np.min_scalar_type(sizes.size << 1)
     a = 0
     while a < n:
         b = _cluster_free_cut(key, s, a + _CHUNK)
         k = key[a:b]
-        code = (k & 1).astype(np.int8)
-        block = k >> 1
-        block &= (1 << (s - 1)) - 1
-        block = block.astype(block_type)
-        emitter = block // _N_KINDS
-        kind = (block - emitter * _N_KINDS).astype(np.uint8)
-        del block
+        low = k.astype(low_type)
+        low &= (1 << s) - 1
         np.right_shift(k, s, out=k)
-        duration = _KIND_DURATION_NS.take(kind)
-        code <<= 1
-        code |= collision_mask(k, duration, emitter)
-        del duration
-        lost = code[(emitter == tracked) & (kind == pos)] != 0
+        emitter = low // (2 * _N_KINDS)
+        duration = _LOW_DURATION_NS.take(low - emitter * (2 * _N_KINDS))
+        collided = collision_mask(k, duration, emitter)
+        # the tally code needs one bit more than the low code: widen first
+        k[:] = low
+        k <<= 1
+        k |= collided
+        # a tracked POS packet is lost unless its tally code is its block's
+        # received code (verdict code 0)
+        lost = k[(low >> 1) == tracked_block] != tracked_block << _CODE_BITS
         tracked_pos_lost[n_tracked : n_tracked + lost.size] = lost
         n_tracked += lost.size
-        block = emitter * _N_KINDS
-        block += kind
-        k[:] = block
-        k <<= _CODE_BITS
-        k |= code
         a = b
 
     # one (aircraft, kind, code) tally, as many codes per block as there are

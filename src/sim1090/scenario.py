@@ -28,9 +28,9 @@ ALL_KINDS = frozenset(PacketKind)
 
 #: Largest expected packet count a config may ask for. A run peaks at about
 #: 12 traced bytes per packet on fig7, whose resolve is cut into chunks of
-#: about 32 K packets, and at about 50 on a fleet so dense that no gap cuts
+#: about 32 K packets, and at about 52 on a fleet so dense that no gap cuts
 #: it (20,000 planes over 20 s), where one chunk as long as the run peaks
-#: inside collision_mask. So this keeps the packets of a run under 2.5 GB.
+#: inside collision_mask. So this keeps the packets of a run under 2.6 GB.
 MAX_PACKETS = 50_000_000
 
 #: Largest fleet a config may ask for. One run peaks at about 433 bytes per

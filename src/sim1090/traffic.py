@@ -34,6 +34,7 @@ def emission_times(kind: PacketKind, horizon_s: float, rng: np.random.Generator)
     sched = SCHEDULES[kind]
     # one draw past the bound always reaches the horizon
     n = max_emissions(kind, horizon_s) + 1
-    times = np.cumsum(rng.uniform(sched.jitter_lo_s, sched.jitter_hi_s, n))
+    times = rng.uniform(sched.jitter_lo_s, sched.jitter_hi_s, n)
+    times.cumsum(out=times)
     # gaps are positive, so the times below the horizon are a prefix
-    return times[: np.searchsorted(times, horizon_s)]
+    return times[: times.searchsorted(horizon_s)]

@@ -315,13 +315,17 @@ class TestModuleCompositionEquivalence:
         report = run(cfg)
         assert report.received_ratio == pytest.approx(aloha_expected_ratio(cfg), abs=0.03)
 
-    @pytest.mark.parametrize("n_planes", [42, 43, 10_922, 10_923])
+    @pytest.mark.parametrize("n_planes", [21, 22, 42, 43, 5_461, 5_462, 10_922, 10_923])
     def test_engine_matches_per_module_pipeline_at_block_dtype_boundaries(self, n_planes):
-        # block indices take the narrowest unsigned type that holds the block
-        # count, six per aircraft: 42 and 10,922 aircraft are the last fleets
-        # of uint8 and uint16, 43 and 10,923 the first of uint16 and uint32.
-        # SMAG is last in KIND_ORDER, so the last aircraft's SMAG block is the
-        # highest index; POS feeds the tracked-aircraft metrics
+        # the resolve holds each packet's low code block << 1 | bad in the
+        # narrowest unsigned type that holds twice the block count, six
+        # blocks per aircraft: 21 and 5,461 aircraft are the last fleets of
+        # uint8 and uint16, 22 and 5,462 the first of uint16 and uint32. A
+        # fleet at the top of a type is the one whose tally code, one bit
+        # wider, would wrap if it were computed in that type. 42/43 and
+        # 10,922/10,923 aircraft are the same boundaries for the block index
+        # alone. SMAG is last in KIND_ORDER, so the last aircraft's SMAG
+        # block is the highest index; POS feeds the tracked-aircraft metrics
         cfg = ScenarioConfig(
             n_planes=n_planes, duration_s=0.7, seed=5, noise_floor_dbm=-80.0,
             enabled_kinds=frozenset({PacketKind.POS, PacketKind.SMAG}), tracked_aircraft=n_planes - 1,
@@ -348,7 +352,7 @@ class TestMemoryBudget:
 
     def test_traced_peak_per_packet(self):
         # a fig7 run resolves chunks of about _CHUNK packets and peaks with
-        # its packet keys and one chunk's temporaries: 11.76 traced bytes per
+        # its packet keys and one chunk's temporaries: 11.74 traced bytes per
         # packet here (27.98 before the chunked resolve)
         cfg = load_preset("fig7.scn").with_overrides(duration_s=100.0, seed=3)
         assert self.traced_peak_per_packet(cfg) <= 16.0
@@ -356,9 +360,9 @@ class TestMemoryBudget:
     def test_dense_fleet_resolved_as_one_chunk(self, monkeypatch):
         # a fleet with no 120 us gap between starts is resolved as one chunk
         # as long as the run. It peaks inside collision_mask with the packet
-        # keys, 10 bytes per packet of narrow arrays and the temporaries of
-        # the many packets that continue a cluster: 43.1 traced bytes per
-        # packet here (615,156 packets)
+        # keys, 8 bytes per packet of uint16 low codes and emitters and int32
+        # durations, and the temporaries of the many packets that continue a
+        # cluster: 43.1 traced bytes per packet here (615,156 packets)
         monkeypatch.setattr(engine, "_CHUNK", MAX_PACKETS)
         assert self.traced_peak_per_packet(ScenarioConfig(n_planes=3000, duration_s=20.0, seed=1)) <= 48.0
 
@@ -597,6 +601,32 @@ class TestEngineProperties:
             assert loud.received_ratio <= quiet.received_ratio
 
 
+@st.composite
+def packed_keys(draw):
+    """Sorted packed keys tick << s | low with random low bits, made of
+    stretches whose starts follow each other by less than the longest on-air
+    time, joined by gaps of about that time, and a start b for the cut
+    search: anywhere from the second packet to past the last one. Stretches
+    may be longer than the cut's first window and longer than _CHUNK."""
+    longest = engine._LONGEST_NS
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    s = draw(st.integers(1, 24))
+    lengths = draw(st.lists(st.one_of(
+        st.integers(1, 3 * engine._CUT_WINDOW),
+        st.integers(engine._CHUNK, engine._CHUNK + 4 * engine._CUT_WINDOW),
+    ), min_size=1, max_size=4))
+    gaps = []
+    for i, length in enumerate(lengths):
+        inside = rng.integers(0, longest, length)
+        inside[rng.random(length) < 0.1] = longest - 1
+        inside[0] = draw(st.sampled_from([longest, longest + 1, 50 * longest])) if i else rng.integers(0, 1 << 20)
+        gaps.append(inside)
+    tick = np.cumsum(np.concatenate(gaps))
+    key = np.sort(tick << s | rng.integers(0, 1 << s, tick.size))
+    b = draw(st.one_of(st.just(key.size - 1), st.integers(1, key.size + engine._CHUNK)))
+    return key, s, max(b, 1)
+
+
 def chunked_run(cfg, chunk):
     """run(cfg) with engine._CHUNK = chunk, and the emitters of each chunk
     that reached collision_mask."""
@@ -667,6 +697,14 @@ class TestChunkedResolve:
         report, chunks = self.assert_chunk_free(cfg)
         assert report.generated_total == 0
         assert all(chunks[chunk] == [] for chunk in self.CHUNKS)
+
+    @settings(max_examples=60, deadline=None)
+    @given(case=packed_keys())
+    def test_cut_is_the_first_gap_at_or_after_its_start(self, case):
+        key, s, b = case
+        gap = np.flatnonzero(np.diff(key >> s) >= engine._LONGEST_NS) + 1
+        later = gap[gap >= b]
+        assert engine._cluster_free_cut(key, s, b) == (int(later[0]) if later.size else key.size)
 
 
 def rendered(value) -> str:

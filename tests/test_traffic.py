@@ -1,5 +1,6 @@
 """Emission timeline tests: jitter bounds, the per-kind count bound the
-engine sizes its packet buffer by, rates, determinism."""
+engine sizes its packet buffer by, the exact draws from the stream, rates,
+determinism."""
 
 import numpy as np
 import pytest
@@ -71,15 +72,35 @@ class TestEmissionTimes:
         # engine.run sizes its packet buffer by max_emissions; a stream whose
         # every gap is jitter_lo_s is the worst case
         kind = case.draw(st.sampled_from(KIND_ORDER))
-        lo = SCHEDULES[kind].jitter_lo_s
-        horizon = case.draw(st.one_of(
-            st.floats(0.0, lo, exclude_min=True),
-            st.integers(1, 20_000).map(lambda m: m * lo),
-            st.floats(lo, 5_000.0),
-        ))
+        horizon = case.draw(horizons(SCHEDULES[kind].jitter_lo_s))
         bound = max_emissions(kind, horizon)
         assert emission_times(kind, horizon, np.random.default_rng(seed)).size <= bound
         assert emission_times(kind, horizon, ShortestGaps()).size <= bound
+
+    @settings(max_examples=200, deadline=None)
+    @given(case=st.data(), seed=st.integers(0, 2**32 - 1))
+    def test_draws_one_uniform_block_from_the_stream(self, case, seed):
+        # timelines, and so every report, rest on this exact use of the
+        # stream: max_emissions + 1 uniform gaps in one call, summed in
+        # order, cut at the horizon, and nothing more drawn
+        kind = case.draw(st.sampled_from(KIND_ORDER))
+        sched = SCHEDULES[kind]
+        horizon = case.draw(horizons(sched.jitter_lo_s))
+        rng, rng2 = np.random.default_rng(seed), np.random.default_rng(seed)
+        times = emission_times(kind, horizon, rng)
+        expected = np.cumsum(rng2.uniform(sched.jitter_lo_s, sched.jitter_hi_s, max_emissions(kind, horizon) + 1))
+        expected = expected[expected < horizon]
+        assert times.dtype == expected.dtype and times.tobytes() == expected.tobytes()
+        assert rng.random() == rng2.random()
+
+
+def horizons(lo):
+    """Horizons below the shortest gap lo, at exact multiples of it and long ones."""
+    return st.one_of(
+        st.floats(0.0, lo, exclude_min=True),
+        st.integers(1, 20_000).map(lambda m: m * lo),
+        st.floats(lo, 5_000.0),
+    )
 
 
 class ShortestGaps:

@@ -24,6 +24,14 @@ It also times these cases directly, in this process on this tree's ``src/``:
 - one run of the Tier-1 command, ``python -m pytest -q
   --continue-on-collection-errors`` with ``src`` on ``PYTHONPATH``.
 
+Before each timed call it runs perfbench's ``reference_kernel()``
+``REF_SAMPLES`` times, and writes the call's raw wall time (``raw_wall_s``)
+and that time scaled to perfbench's reference host (``wall_s``): raw times
+``REF_NOMINAL_S`` over the median of those kernel times (``ref_s``). Raw wall
+times move with the host's load; the scaled ones can be compared across
+calls, as perfbench's command times are. ``pkts_per_s`` is on the scaled
+wall times, ``raw_pkts_per_s`` on the raw ones.
+
 The environment (git commit, source hash, ``nproc``, numpy version and the rest of
 perfbench's record environment) is written with them; ``src_clean`` says
 whether ``src/`` matches the commit.
@@ -32,7 +40,7 @@ Usage, from the root of a source checkout::
 
     python3 tools/bench_record.py BENCH_2.json
 
-One call takes about 11 minutes on a 2-core host. Run nothing else meanwhile:
+One call takes about 12 minutes on a 2-core host. Run nothing else meanwhile:
 the numbers are wall times.
 """
 
@@ -49,7 +57,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
 
-from run import HELD_OUT_SEED, OUT_DIR, environment  # noqa: E402
+from run import HELD_OUT_SEED, OUT_DIR, REF_NOMINAL_S, REF_SAMPLES, environment, reference_kernel  # noqa: E402
 
 from sim1090.cli import load_preset  # noqa: E402
 from sim1090.engine import run, run_replicated  # noqa: E402
@@ -81,10 +89,14 @@ def quartiles(values: list[float]) -> dict:
     return {"median": median, "q1": q1, "q3": q3, "runs": values}
 
 
-def timed(fn) -> tuple[float, object]:
+def timed(fn) -> tuple[dict, object]:
+    """Scaled and raw wall time of fn() with the reference-kernel median
+    before it (see the module docstring), and fn()'s result."""
+    ref_s = statistics.median(reference_kernel() for _ in range(REF_SAMPLES))
     start = time.perf_counter()
     out = fn()
-    return time.perf_counter() - start, out
+    raw = time.perf_counter() - start
+    return {"wall_s": raw * REF_NOMINAL_S / ref_s, "raw_wall_s": raw, "ref_s": ref_s}, out
 
 
 def direct_cases() -> dict:
@@ -92,24 +104,28 @@ def direct_cases() -> dict:
     cases = {}
     for preset in ("fig4", "fig7"):
         cfg = load_preset(f"{preset}.scn")
-        walls, rates = [], []
+        walls, packets = [], []
         for seed in RUN_SEEDS:
             wall, report = timed(lambda: run(cfg.with_overrides(seed=seed)))
             walls.append(wall)
-            rates.append(report.generated_total / wall)
-        cases[f"{preset}_run"] = {"seeds": list(RUN_SEEDS), "wall_s": quartiles(walls),
-                                  "pkts_per_s": quartiles(rates)}
+            packets.append(report.generated_total)
+        cases[f"{preset}_run"] = {
+            "seeds": list(RUN_SEEDS),
+            **{name: quartiles([w[name] for w in walls]) for name in walls[0]},
+            "pkts_per_s": quartiles([p / w["wall_s"] for p, w in zip(packets, walls)]),
+            "raw_pkts_per_s": quartiles([p / w["raw_wall_s"] for p, w in zip(packets, walls)]),
+        }
     wall, _ = timed(lambda: run_replicated(load_preset("fig6.scn"), 10))
-    cases["fig6_reps10"] = {"wall_s": wall}
+    cases["fig6_reps10"] = wall
     wall, result = timed(lambda: calibrate_noise_floor(CALIBRATION_TARGET, load_preset("fig5.scn"), n_reps=10))
-    cases["calibrate_fig5_reps10"] = {"wall_s": wall, "iterations": result.iterations,
+    cases["calibrate_fig5_reps10"] = {**wall, "iterations": result.iterations,
                                       "noise_floor_dbm": result.noise_floor_dbm,
                                       "achieved_ratio": result.achieved_ratio}
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, ["src", os.environ.get("PYTHONPATH")]))}
     print(" ".join(TIER1[1:]), file=sys.stderr, flush=True)
     wall, tier1 = timed(lambda: subprocess.run(TIER1, cwd=ROOT, env=env, check=False,
                                                capture_output=True, text=True))
-    cases["tier1"] = {"wall_s": wall, "returncode": tier1.returncode,
+    cases["tier1"] = {**wall, "returncode": tier1.returncode,
                       "summary": (tier1.stdout.strip().splitlines() or [""])[-1]}
     return cases
 
