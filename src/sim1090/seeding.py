@@ -10,6 +10,7 @@ errors therefore never perturbs the generated timelines.
 from __future__ import annotations
 
 import hashlib
+import operator
 
 import numpy as np
 
@@ -26,14 +27,32 @@ def fleet_rng(seed: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence((seed, _FLEET_TAG)))
 
 
+def _aircraft_rng(seed: int, tag: int, aircraft_id: int) -> np.random.Generator:
+    """The stream of ``default_rng(SeedSequence((seed, tag, aircraft_id)))``.
+
+    SeedSequence reads a tuple of ints as the 32-bit little-endian words of
+    each, at least one per int, concatenated. Handing it those words as one
+    uint32 array skips its per-int coercion and gives the same state. An
+    aircraft id is one word.
+    """
+    seed = operator.index(seed)
+    if seed < 0 or not 0 <= aircraft_id <= 0xFFFFFFFF:
+        raise ValueError(f"seed and aircraft id must be non-negative, the id below 2**32: {seed}, {aircraft_id}")
+    words = [seed & 0xFFFFFFFF]
+    while seed := seed >> 32:
+        words.append(seed & 0xFFFFFFFF)
+    words += (tag, aircraft_id)
+    return np.random.Generator(np.random.PCG64(np.random.SeedSequence(np.array(words, dtype=np.uint32))))
+
+
 def traffic_rng(seed: int, aircraft_id: int) -> np.random.Generator:
     """Per-aircraft stream for emission gaps."""
-    return np.random.default_rng(np.random.SeedSequence((seed, _TRAFFIC_TAG, aircraft_id)))
+    return _aircraft_rng(seed, _TRAFFIC_TAG, aircraft_id)
 
 
 def channel_rng(seed: int, aircraft_id: int) -> np.random.Generator:
     """Per-aircraft stream for packet corruption draws."""
-    return np.random.default_rng(np.random.SeedSequence((seed, _CHANNEL_TAG, aircraft_id)))
+    return _aircraft_rng(seed, _CHANNEL_TAG, aircraft_id)
 
 
 def replication_seed(seed: int, k: int) -> int:

@@ -3,10 +3,11 @@ equivalence with a per-packet reference, property tests over small configs
 (JSON and CSV agreement included), zero-packet runs, replication
 summaries, the width of the packed sort keys, the per-packet memory
 budget, the packet buffer's capacity check and the chunked collision
-resolve."""
+resolve with its near-packet path for sparse chunks."""
 
 import hashlib
 import json
+import math
 import tracemalloc
 import warnings
 
@@ -627,38 +628,72 @@ def packed_keys(draw):
     return key, s, max(b, 1)
 
 
-def chunked_run(cfg, chunk):
-    """run(cfg) with engine._CHUNK = chunk, and the emitters of each chunk
-    that reached collision_mask."""
+def chunked_run(cfg, chunk, spacing):
+    """run(cfg) with engine._CHUNK = chunk and engine._SPARSE_SPACING =
+    spacing, and the (start ticks, emitters) of each chunk that reached
+    collision_mask."""
     chunks = []
 
     def spy(starts, durations, emitters):
-        chunks.append(emitters)
+        chunks.append((np.array(starts), emitters))
         return collision_mask(starts, durations, emitters)
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(engine, "_CHUNK", chunk)
+        mp.setattr(engine, "_SPARSE_SPACING", spacing)
         mp.setattr(engine, "collision_mask", spy)
         return run(cfg), chunks
+
+
+def near_audible_packets(cfg) -> list[tuple[int, int]]:
+    """Sorted (start tick, emitter) of the audible packets of reference_packets
+    whose start lies less than the longest on-air time from the start before
+    or after it in start order."""
+    audible = sorted((p[0], p[1]) for p in reference_packets(cfg) if not p[4])
+    ticks = [t for t, _ in audible]
+    return [
+        packet for i, packet in enumerate(audible)
+        if (i > 0 and ticks[i] - ticks[i - 1] < engine._LONGEST_NS)
+        or (i + 1 < len(ticks) and ticks[i + 1] - ticks[i] < engine._LONGEST_NS)
+    ]
+
+
+def seen_packets(chunks) -> list[tuple[int, int]]:
+    """Sorted (start tick, emitter) of every packet collision_mask saw."""
+    return sorted((int(t), int(e)) for starts, emitters in chunks for t, e in zip(starts, emitters))
 
 
 class TestChunkedResolve:
     """The resolve cuts the sorted packets only where a start follows the one
     before it by at least the longest on-air time, so no overlap cluster
-    spans two chunks and the chunk size never moves a report byte."""
+    spans two chunks and the chunk size never moves a report byte. A chunk
+    whose mean start spacing is at least _SPARSE_SPACING longest on-air times
+    resolves only its near packets, and that never moves a byte either.
+
+    Each case runs on both paths: forced whole (no chunk is sparse), where
+    collision_mask sees every audible packet, and forced sparse (every chunk
+    is), where it sees exactly the audible packets whose start lies within
+    the longest on-air time of a neighbour's."""
 
     CHUNKS = (1, 2, 7, 64)
+    PATHS = {"whole": math.inf, "sparse": 0}
 
     def assert_chunk_free(self, cfg):
         whole = run(cfg)
+        audible = int(whole.counts[:, :, :Verdict.LOST_BELOW_SENSITIVITY].sum())
+        near = near_audible_packets(cfg)
         chunks = {}
-        for chunk in self.CHUNKS:
-            report, chunks[chunk] = chunked_run(cfg, chunk)
-            assert report.to_json_bytes() == whole.to_json_bytes()
-            assert np.array_equal(report.counts, whole.counts)
-            assert np.array_equal(report.tracked_pos_lost, whole.tracked_pos_lost)
-            audible = int(whole.counts[:, :, :Verdict.LOST_BELOW_SENSITIVITY].sum())
-            assert sum(e.size for e in chunks[chunk]) == audible
+        for path, spacing in self.PATHS.items():
+            for chunk in self.CHUNKS:
+                report, seen = chunked_run(cfg, chunk, spacing)
+                assert report.to_json_bytes() == whole.to_json_bytes()
+                assert np.array_equal(report.counts, whole.counts)
+                assert np.array_equal(report.tracked_pos_lost, whole.tracked_pos_lost)
+                if path == "whole":
+                    assert sum(e.size for _, e in seen) == audible
+                else:
+                    assert seen_packets(seen) == near
+                chunks[path, chunk] = [e for _, e in seen]
         return whole, chunks
 
     @settings(max_examples=30, deadline=None)
@@ -672,16 +707,20 @@ class TestChunkedResolve:
         # packets
         report, chunks = self.assert_chunk_free(ScenarioConfig(n_planes=3000, duration_s=0.5, seed=1))
         assert report.generated_total > 9000
-        for chunk in self.CHUNKS:
-            assert len(chunks[chunk]) > 1
-            assert max(e.size for e in chunks[chunk]) > 64
+        for path in self.PATHS:
+            for chunk in self.CHUNKS:
+                assert len(chunks[path, chunk]) > 1
+                assert max(e.size for e in chunks[path, chunk]) > 64
 
     def test_tracked_pos_packets_span_many_chunks(self):
         cfg = ScenarioConfig(n_planes=20, n_uavs=5, duration_s=30.0, seed=9, noise_floor_dbm=-80.0, tracked_aircraft=22)
         report, chunks = self.assert_chunk_free(cfg)
         assert report.tracked_pos_lost.size > 50
         assert 0 < report.tracked_pos_lost.sum() < report.tracked_pos_lost.size
-        assert sum(bool(np.any(e == cfg.tracked_aircraft)) for e in chunks[64]) > 20
+        # its packets reach collision_mask in 120 of the 121 chunks on the
+        # whole path, and its near packets in 20 on the sparse path
+        assert sum(bool(np.any(e == cfg.tracked_aircraft)) for e in chunks["whole", 64]) > 20
+        assert sum(bool(np.any(e == cfg.tracked_aircraft)) for e in chunks["sparse", 64]) > 10
 
     def test_gated_tracked_aircraft(self):
         cfg = ScenarioConfig(
@@ -692,11 +731,41 @@ class TestChunkedResolve:
         report, _ = self.assert_chunk_free(cfg.with_overrides(tracked_aircraft=int(np.flatnonzero(gated)[0])))
         assert report.tracked_pos_lost.size > 0 and report.tracked_pos_lost.all()
 
+    def test_chunk_spacing_picks_the_path(self):
+        # at the default spacing a fleet of 25 POS and ID senders (starts
+        # about 150 longest on-air times apart) resolves only its near
+        # packets, and 3,000 planes over 0.5 s (about half of one) every
+        # audible packet
+        sparse = load_preset("fig3_50.scn").with_overrides(n_planes=25, duration_s=20.0)
+        _, seen = chunked_run(sparse, engine._CHUNK, engine._SPARSE_SPACING)
+        assert 0 < len(seen_packets(seen)) < run(sparse).generated_total
+        assert seen_packets(seen) == near_audible_packets(sparse)
+        dense = ScenarioConfig(n_planes=3000, duration_s=0.5, seed=1)
+        report, seen = chunked_run(dense, engine._CHUNK, engine._SPARSE_SPACING)
+        assert sum(e.size for _, e in seen) == report.generated_total
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        start=st.integers(0, 2**40),
+        gaps=st.lists(st.one_of(
+            st.sampled_from([0, 1, engine._LONGEST_NS - 1, engine._LONGEST_NS, engine._LONGEST_NS + 1]),
+            st.integers(0, 3 * engine._LONGEST_NS),
+        ), max_size=30),
+    )
+    def test_near_packets_at_the_edge(self, start, gaps):
+        tick = start + np.cumsum([0, *gaps], dtype=np.int64)
+        brute = [
+            i for i in range(tick.size)
+            if any(j != i and abs(int(tick[j]) - int(tick[i])) < engine._LONGEST_NS for j in range(tick.size))
+        ]
+        assert engine._near(tick).tolist() == brute
+        assert engine._near(tick[:0]).size == 0
+
     def test_zero_packets(self):
         cfg = load_preset("fig3_50.scn").with_overrides(duration_s=0.1, enabled_kinds=frozenset({PacketKind.ID}))
         report, chunks = self.assert_chunk_free(cfg)
         assert report.generated_total == 0
-        assert all(chunks[chunk] == [] for chunk in self.CHUNKS)
+        assert all(seen == [] for seen in chunks.values())
 
     @settings(max_examples=60, deadline=None)
     @given(case=packed_keys())

@@ -19,8 +19,10 @@ It also times these cases directly, in this process on this tree's ``src/``:
 
 - one ``fig4`` run and one ``fig7`` run at seeds 1-5 (median wall time, and
   the median packets per second);
-- ``run_replicated`` of ``fig6`` with 10 replications;
-- ``calibrate_noise_floor(0.4866, fig5, n_reps=10)``;
+- ``run_replicated`` of ``fig6`` with 10 replications, ``REPEATS`` times
+  (median and quartiles);
+- ``calibrate_noise_floor(0.4866, fig5, n_reps=10)``, ``REPEATS`` times
+  (median and quartiles);
 - one run of the Tier-1 command, ``python -m pytest -q
   --continue-on-collection-errors`` with ``src`` on ``PYTHONPATH``.
 
@@ -40,7 +42,7 @@ Usage, from the root of a source checkout::
 
     python3 tools/bench_record.py BENCH_2.json
 
-One call takes about 12 minutes on a 2-core host. Run nothing else meanwhile:
+One call takes about 13 minutes on a 2-core host. Run nothing else meanwhile:
 the numbers are wall times.
 """
 
@@ -68,6 +70,8 @@ TRACE_SEED = 11
 TRACE_SECONDS = 1
 RUN_SEEDS = (1, 2, 3, 4, 5)
 CALIBRATION_TARGET = 0.4866
+#: timed calls of each of the fig6 x 10 and calibration cases
+REPEATS = 3
 TIER1 = [sys.executable, "-m", "pytest", "-q", "--continue-on-collection-errors"]
 
 
@@ -99,6 +103,13 @@ def timed(fn) -> tuple[dict, object]:
     return {"wall_s": raw * REF_NOMINAL_S / ref_s, "raw_wall_s": raw, "ref_s": ref_s}, out
 
 
+def repeated(fn) -> tuple[dict, object]:
+    """Median and quartiles of REPEATS timed(fn) calls, each with its own
+    kernel sample, and the last call's result."""
+    walls, results = zip(*(timed(fn) for _ in range(REPEATS)))
+    return {name: quartiles([w[name] for w in walls]) for name in walls[0]}, results[-1]
+
+
 def direct_cases() -> dict:
     """Wall times of the direct cases (see the module docstring)."""
     cases = {}
@@ -115,9 +126,8 @@ def direct_cases() -> dict:
             "pkts_per_s": quartiles([p / w["wall_s"] for p, w in zip(packets, walls)]),
             "raw_pkts_per_s": quartiles([p / w["raw_wall_s"] for p, w in zip(packets, walls)]),
         }
-    wall, _ = timed(lambda: run_replicated(load_preset("fig6.scn"), 10))
-    cases["fig6_reps10"] = wall
-    wall, result = timed(lambda: calibrate_noise_floor(CALIBRATION_TARGET, load_preset("fig5.scn"), n_reps=10))
+    cases["fig6_reps10"], _ = repeated(lambda: run_replicated(load_preset("fig6.scn"), 10))
+    wall, result = repeated(lambda: calibrate_noise_floor(CALIBRATION_TARGET, load_preset("fig5.scn"), n_reps=10))
     cases["calibrate_fig5_reps10"] = {**wall, "iterations": result.iterations,
                                       "noise_floor_dbm": result.noise_floor_dbm,
                                       "achieved_ratio": result.achieved_ratio}
