@@ -85,6 +85,9 @@ def ber_mpsk_approx(r, m: int = 8):
     ``ber_mpsk_exact`` evaluates, and an upper bound on it: exact =
     approx/2 + tail with 0 <= tail <= approx/2, so exact <= approx <=
     2*exact for every r >= 0. The two agree to within 0.003 for r >= 2.
+    Below r = 0.0845 it exceeds 1 - 1/M = 0.875, the largest 8-PSK error:
+    it gives 1.0 at r = 0 against the exact 0.875, and 0.5884 against 0.5769
+    at r = 1. It is not capped at 1 - 1/M, since that would move reports.
     """
     r = np.asarray(r, dtype=float)
     if not np.all(r >= 0):

@@ -6,20 +6,18 @@ no retransmission, so the engine batch-generates every timeline and resolves
 the merged schedule in start-time order in one sweep. This is
 observationally equivalent to popping an incremental event queue.
 
-Every packet that reaches the receiver lives in one preallocated buffer:
-float64 starts and, with channel errors on, one corruption bit each. No gap
-between two packets of a kind is shorter than its ``jitter_lo_s``, so
-``traffic.max_emissions`` bounds an aircraft's packets of each enabled kind,
-and the buffer holds that many per audible aircraft. An aircraft that draws
-more raises instead of being cut short. Once every aircraft has drawn, the
-start buffer gives back the slots no packet took.
+Every packet that reaches the receiver has one int64 key in a preallocated
+buffer, written as its aircraft draws it. No gap between two packets of a
+kind is shorter than its ``jitter_lo_s``, so ``traffic.max_emissions``
+bounds an aircraft's packets of each enabled kind, and the buffer holds that
+many per audible aircraft. An aircraft that draws more raises before it
+writes a key. Once every aircraft has drawn, the buffer gives back the slots
+no packet took.
 
 Time is kept in whole nanoseconds: each start is rounded to nearest,
 ``np.rint(t * 1e9)``, and the on-air lengths (64 and 120 us) are whole
 nanoseconds, so the half-open overlap rule is exact integer arithmetic.
-The rounded starts are written over the float ones through an int64 view of
-the buffer, one slice at a time (cast in place as one whole array, numpy
-would copy it first). Packets are ordered by one in-place sort of int64 keys
+Packets are ordered by one in-place sort of the int64 keys
 ``tick << s | block << 1 | bad``: the start tick, the index of the packet's
 (aircraft, kind) block in s - 1 bits and its corruption bit. Shifts and masks
 give all three back. Packets with equal start ticks so fall in block order,
@@ -104,7 +102,7 @@ _CODE_BITS = 2
 if (Verdict.RECEIVED, Verdict.LOST_COLLISION, Verdict.LOST_CORRUPTED, Verdict.LOST_BELOW_SENSITIVITY) != tuple(range(_N_VERDICTS)):
     raise ImportError("the engine's tally codes need the verdicts RECEIVED, LOST_COLLISION, LOST_CORRUPTED, "
                       "LOST_BELOW_SENSITIVITY = 0, 1, 2, 3")
-#: packets per slice of the key build and, at least, per collision resolve
+#: least packets per collision resolve
 _CHUNK = 1 << 15
 #: packets in the first window _cluster_free_cut scans for a gap
 _CUT_WINDOW = 256
@@ -235,8 +233,20 @@ def run(config: ScenarioConfig) -> RunReport:
     # ordering or collisions and draw nothing from the channel stream
     draws = [k if k in config.enabled_kinds else None for k in KIND_ORDER]
     capacity = sum(max_emissions(k, config.duration_s) for k in draws if k is not None)
-    start = np.empty(capacity * int(audible.sum()))
-    bad = np.empty(start.size if errors_on else 0, dtype=bool)
+
+    # packets are resolved in start-time order, ties in block order, by one
+    # in-place sort of int64 keys tick << s | block << 1 | bad, each written
+    # as its aircraft draws it (see the module docstring)
+    n_blocks = n_aircraft * _N_KINDS
+    s = n_blocks.bit_length() + 1
+    kind_code = np.arange(_N_KINDS) << 1
+    key = np.empty(capacity * int(audible.sum()), dtype=np.int64)
+    seconds = np.empty(capacity)
+    # the tracked aircraft's POS keys, found again after the sort
+    tracked = config.tracked_aircraft
+    pos = KIND_INDEX[PacketKind.POS]
+    tracked_block = tracked * _N_KINDS + pos
+    tracked_keys = np.empty(0, dtype=np.int64)
     generated = []
     n = 0
     for i in range(n_aircraft):
@@ -252,42 +262,24 @@ def run(config: ScenarioConfig) -> RunReport:
                     f"aircraft {i} emitted {m} packets, above its bound of {capacity}: "
                     "traffic.max_emissions summed over the enabled kinds"
                 )
-            np.concatenate(times, out=start[n : n + m])
+            t = np.concatenate(times, out=seconds[:m])
+            t *= 1e9
+            k = key[n : n + m]
+            np.rint(t, out=k, casting="unsafe")
+            k <<= s
+            k |= np.repeat(kind_code + i * (2 * _N_KINDS), n_times)
             if errors_on:
                 # one uniform per packet, in kind order: a packet is bad iff
                 # its uniform is >= 1 - P_bad of its kind
-                uniforms = channel_rng(config.seed, i).random(m)
-                np.greater_equal(uniforms, np.repeat(p_good[i], n_times), out=bad[n : n + m])
+                k |= channel_rng(config.seed, i).random(m) >= np.repeat(p_good[i], n_times)
+            if i == tracked:
+                first = sum(n_times[:pos])
+                tracked_keys = k[first : first + n_times[pos]].copy()
+            del k
             n += m
     # give back the slots no packet took; no view of the buffer is left
-    start.resize(n, refcheck=False)
-
+    key.resize(n, refcheck=False)
     generated = np.array(generated, dtype=np.int64).reshape(n_aircraft, _N_KINDS)
-    sizes = (generated * audible[:, None]).ravel()
-    block_start = np.zeros(sizes.size + 1, dtype=np.int64)
-    np.cumsum(sizes, out=block_start[1:])
-
-    # packets are resolved in start-time order, ties in block order, by one
-    # in-place sort of int64 keys tick << s | block << 1 | bad, written over
-    # the float starts one chunk at a time (see the module docstring)
-    s = sizes.size.bit_length() + 1
-    key = start.view(np.int64)
-    for a in range(0, n, _CHUNK):
-        b = min(a + _CHUNK, n)
-        k = key[a:b]
-        np.rint(start[a:b] * 1e9, out=k, casting="unsafe")
-        k <<= s
-        first = np.searchsorted(block_start, a, side="right") - 1
-        last = np.searchsorted(block_start, b)
-        k |= np.repeat(np.arange(first, last) << 1, np.diff(np.clip(block_start[first : last + 1], a, b)))
-        if errors_on:
-            k |= bad[a:b]
-    # the tracked aircraft's POS keys, found again after the sort
-    tracked = config.tracked_aircraft
-    pos = KIND_INDEX[PacketKind.POS]
-    tracked_block = tracked * _N_KINDS + pos
-    tracked_keys = key[block_start[tracked_block] : block_start[tracked_block + 1]].copy()
-    del start, block_start, bad
     key.sort()
     tracked_at = key.searchsorted(tracked_keys)
 
@@ -298,7 +290,7 @@ def run(config: ScenarioConfig) -> RunReport:
     # the narrowest unsigned type that holds every low code. It has at least
     # s bits, and a cast to it keeps a key's low bits, so a masked cast of
     # the key is its low code
-    low_type = np.min_scalar_type(sizes.size << 1)
+    low_type = np.min_scalar_type(n_blocks << 1)
     a = 0
     while a < n:
         b = _cluster_free_cut(key, s, a + _CHUNK)
@@ -327,7 +319,7 @@ def run(config: ScenarioConfig) -> RunReport:
     # one (aircraft, kind, code) tally, as many codes per block as there are
     # verdicts; code 3, collided and corrupted, is a collision, which outranks
     # corruption, and its column then takes the gated packets
-    counts = np.bincount(key, minlength=sizes.size << _CODE_BITS).reshape(n_aircraft, _N_KINDS, _N_VERDICTS)
+    counts = np.bincount(key, minlength=n_blocks << _CODE_BITS).reshape(n_aircraft, _N_KINDS, _N_VERDICTS)
     counts[:, :, Verdict.LOST_COLLISION] += counts[:, :, Verdict.LOST_BELOW_SENSITIVITY]
     np.multiply(generated, ~audible[:, None], out=counts[:, :, Verdict.LOST_BELOW_SENSITIVITY])
 
@@ -352,9 +344,12 @@ def summarize_reports(reports) -> dict[str, dict[str, float]]:
     """Mean and population std of each metric (see mean_std).
 
     A metric that is undefined in any report (no packets, no aircraft of a
-    class, too few tracked POS packets) is left out.
+    class, too few tracked POS packets) is left out, and so is every metric
+    of no reports.
     """
     reports = list(reports)
+    if not reports:
+        return {}
     summary = {}
     ratios = {
         "received_ratio": [r.received_ratio for r in reports],

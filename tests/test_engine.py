@@ -20,7 +20,7 @@ from sim1090 import engine
 from sim1090.aloha import Verdict, collision_mask
 from sim1090.channel import LinkBudget, aircraft_link_state, corruption_probability
 from sim1090.cli import load_preset
-from sim1090.engine import run, run_replicated, summarize_reports
+from sim1090.engine import ReplicationResult, run, run_replicated, summarize_reports
 from sim1090.frames import AirframeKind
 from sim1090.metrics import aloha_expected_ratio, loss_run_histogram, update_probability
 from sim1090.packets import KIND_INDEX, KIND_ORDER, SCHEDULES, PacketKind, packet_duration_s
@@ -353,8 +353,9 @@ class TestMemoryBudget:
 
     def test_traced_peak_per_packet(self):
         # a fig7 run resolves chunks of about _CHUNK packets and peaks with
-        # its packet keys and one chunk's temporaries: 11.74 traced bytes per
-        # packet here (27.98 before the chunked resolve)
+        # its packet keys and one chunk's temporaries: 11.30 traced bytes per
+        # packet here (11.74 while the starts were drawn into a float64
+        # buffer, 27.98 before the chunked resolve)
         cfg = load_preset("fig7.scn").with_overrides(duration_s=100.0, seed=3)
         assert self.traced_peak_per_packet(cfg) <= 16.0
 
@@ -363,36 +364,47 @@ class TestMemoryBudget:
         # as long as the run. It peaks inside collision_mask with the packet
         # keys, 8 bytes per packet of uint16 low codes and emitters and int32
         # durations, and the temporaries of the many packets that continue a
-        # cluster: 43.1 traced bytes per packet here (615,156 packets)
+        # cluster: 42.9 traced bytes per packet here (615,156 packets)
         monkeypatch.setattr(engine, "_CHUNK", MAX_PACKETS)
         assert self.traced_peak_per_packet(ScenarioConfig(n_planes=3000, duration_s=20.0, seed=1)) <= 48.0
 
 
 class TestPacketBufferCapacity:
+    @pytest.mark.parametrize("errors_on", [False, True])
     @pytest.mark.parametrize("slack", [0, 1])
     @pytest.mark.parametrize("over", [0, 2])
-    def test_over_capacity_aircraft_raises_before_writing(self, monkeypatch, over, slack):
+    def test_over_capacity_aircraft_raises_before_writing(self, monkeypatch, over, slack, errors_on):
         # aircraft `over` emits one packet above the bound and the others
         # bound - slack. With no slack the last aircraft's packets would pass
         # the end of the buffer; with slack an unchecked run would shift the
-        # later aircraft's packets and finish without an error
+        # later aircraft's packets and finish without an error. With channel
+        # errors on, the corruption bits are written with the keys, so the
+        # aircraft must not draw its channel stream either (all three planes
+        # are audible at this seed)
         cfg = ScenarioConfig(
-            n_planes=3, duration_s=10.0, seed=1, channel_errors_enabled=False,
+            n_planes=3, duration_s=10.0, seed=1, channel_errors_enabled=errors_on,
             enabled_kinds=frozenset({PacketKind.POS}),
         )
         bound = max_emissions(PacketKind.POS, cfg.duration_s)
         calls = []
+        channel_draws = []
 
         def emission_times(kind, horizon_s, rng):
             calls.append(kind)
             size = bound + 1 if len(calls) == over + 1 else bound - slack
             return np.linspace(0.0, horizon_s, size, endpoint=False)
 
+        def counted_channel_rng(seed, aircraft_id):
+            channel_draws.append(aircraft_id)
+            return channel_rng(seed, aircraft_id)
+
         monkeypatch.setattr(engine, "emission_times", emission_times)
+        monkeypatch.setattr(engine, "channel_rng", counted_channel_rng)
         message = f"aircraft {over} emitted {bound + 1} packets, above its bound of {bound}: traffic.max_emissions"
         with pytest.raises(AssertionError, match=message):
             run(cfg)
         assert len(calls) == over + 1
+        assert channel_draws == (list(range(over)) if errors_on else [])
 
 
 class TestSortKeyWidth:
@@ -452,6 +464,10 @@ class TestZeroPackets:
         summary = summarize_reports([run(base), empty])
         assert "received_ratio" not in summary
         assert "plane_received_ratio" not in summary
+
+    def test_no_reports_summarize_to_nothing(self):
+        assert summarize_reports([]) == {}
+        assert ReplicationResult(()).summary == {}
 
 
 class TestReplication:

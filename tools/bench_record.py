@@ -26,10 +26,11 @@ It also times these cases directly, in this process on this tree's ``src/``:
 - one run of the Tier-1 command, ``python -m pytest -q
   --continue-on-collection-errors`` with ``src`` on ``PYTHONPATH``.
 
-Before each timed call it runs perfbench's ``reference_kernel()``
+Before and after each timed call it runs perfbench's ``reference_kernel()``
 ``REF_SAMPLES`` times, and writes the call's raw wall time (``raw_wall_s``)
 and that time scaled to perfbench's reference host (``wall_s``): raw times
-``REF_NOMINAL_S`` over the median of those kernel times (``ref_s``). Raw wall
+``REF_NOMINAL_S`` over the median of all those kernel times (``ref_s``), so
+a change of the host's load during the call weighs in. Raw wall
 times move with the host's load; the scaled ones can be compared across
 calls, as perfbench's command times are. ``pkts_per_s`` is on the scaled
 wall times, ``raw_pkts_per_s`` on the raw ones.
@@ -95,17 +96,20 @@ def quartiles(values: list[float]) -> dict:
 
 def timed(fn) -> tuple[dict, object]:
     """Scaled and raw wall time of fn() with the reference-kernel median
-    before it (see the module docstring), and fn()'s result."""
-    ref_s = statistics.median(reference_kernel() for _ in range(REF_SAMPLES))
+    over the samples before and after it (see the module docstring), and
+    fn()'s result."""
+    samples = [reference_kernel() for _ in range(REF_SAMPLES)]
     start = time.perf_counter()
     out = fn()
     raw = time.perf_counter() - start
+    samples += [reference_kernel() for _ in range(REF_SAMPLES)]
+    ref_s = statistics.median(samples)
     return {"wall_s": raw * REF_NOMINAL_S / ref_s, "raw_wall_s": raw, "ref_s": ref_s}, out
 
 
 def repeated(fn) -> tuple[dict, object]:
     """Median and quartiles of REPEATS timed(fn) calls, each with its own
-    kernel sample, and the last call's result."""
+    kernel samples, and the last call's result."""
     walls, results = zip(*(timed(fn) for _ in range(REPEATS)))
     return {name: quartiles([w[name] for w in walls]) for name in walls[0]}, results[-1]
 
