@@ -7,12 +7,18 @@ the merged schedule in start-time order in one sweep. This is
 observationally equivalent to popping an incremental event queue.
 
 Every packet that reaches the receiver has one int64 key in a preallocated
-buffer, written as its aircraft draws it. No gap between two packets of a
-kind is shorter than its ``jitter_lo_s``, so ``traffic.max_emissions``
-bounds an aircraft's packets of each enabled kind, and the buffer holds that
-many per audible aircraft. An aircraft that draws more raises before it
-writes a key. Once every aircraft has drawn, the buffer gives back the slots
-no packet took.
+buffer. No gap between two packets of a kind is shorter than its
+``jitter_lo_s``, so ``traffic.max_emissions`` bounds an aircraft's packets
+of each enabled kind, and the buffer holds that many per audible aircraft.
+Each audible aircraft draws its starts, and with channel errors on one
+channel uniform per packet, into two scratch buffers of ``max(_KEY_GROUP,
+bound)`` slots; an aircraft that draws more than its bound raises before it
+draws from its channel stream. Before the next aircraft would overflow the
+scratch, the keys of the run of consecutive aircraft drawn into it are
+written together, each once, by a few array passes whose fixed cost its
+aircraft share. A gated aircraft takes no slot. Once every aircraft has drawn,
+both scratch buffers are deleted and the key buffer gives back the slots no
+packet took.
 
 Time is kept in whole nanoseconds: each start is rounded to nearest,
 ``np.rint(t * 1e9)``, and the on-air lengths (64 and 120 us) are whole
@@ -104,6 +110,12 @@ if (Verdict.RECEIVED, Verdict.LOST_COLLISION, Verdict.LOST_CORRUPTED, Verdict.LO
                       "LOST_BELOW_SENSITIVITY = 0, 1, 2, 3")
 #: least packets per collision resolve
 _CHUNK = 1 << 15
+#: least scratch slots per run of aircraft whose keys are written together.
+#: A fig7 aircraft draws about 5,200 packets, so 16 K slots hold three of
+#: them; at 8 K each fills a group alone and pays its fixed cost. A larger
+#: group raises the peak, since the scratch and the group's temporaries sit
+#: beside the whole key buffer (see tests/test_engine.py::TestMemoryBudget)
+_KEY_GROUP = 1 << 14
 #: packets in the first window _cluster_free_cut scans for a gap
 _CUT_WINDOW = 256
 #: a chunk whose mean start spacing is at least this many longest on-air
@@ -235,26 +247,44 @@ def run(config: ScenarioConfig) -> RunReport:
     capacity = sum(max_emissions(k, config.duration_s) for k in draws if k is not None)
 
     # packets are resolved in start-time order, ties in block order, by one
-    # in-place sort of int64 keys tick << s | block << 1 | bad, each written
-    # as its aircraft draws it (see the module docstring)
+    # in-place sort of int64 keys tick << s | block << 1 | bad. Each audible
+    # aircraft draws its starts and channel uniforms into two scratch buffers
+    # of `room` slots, and the keys of the aircraft drawn so far are written
+    # together before the next would overflow them (see the module docstring)
     n_blocks = n_aircraft * _N_KINDS
     s = n_blocks.bit_length() + 1
-    kind_code = np.arange(_N_KINDS) << 1
     key = np.empty(capacity * int(audible.sum()), dtype=np.int64)
-    seconds = np.empty(capacity)
-    # the tracked aircraft's POS keys, found again after the sort
+    room = max(_KEY_GROUP, capacity)
+    seconds = np.empty(room)
+    uniforms = np.empty(room if errors_on else 0)
+    generated = np.empty((n_aircraft, _N_KINDS), dtype=np.int64)
+    # the slots of the tracked aircraft's POS keys, found again after the sort
     tracked = config.tracked_aircraft
     pos = KIND_INDEX[PacketKind.POS]
     tracked_block = tracked * _N_KINDS + pos
-    tracked_keys = np.empty(0, dtype=np.int64)
-    generated = []
-    n = 0
+    tracked_slots = slice(0)
+
+    def write_keys(first, last, n, g):
+        """Write the keys of aircraft first..last - 1, drawn into the first g
+        scratch slots, to key[n : n + g]."""
+        counts = (generated[first:last] * audible[first:last, None]).ravel()
+        t = seconds[:g]
+        t *= 1e9
+        k = key[n : n + g]
+        np.rint(t, out=k, casting="unsafe")
+        k <<= s
+        k |= np.repeat(np.arange(first * _N_KINDS, last * _N_KINDS) << 1, counts)
+        if errors_on:
+            # a packet is bad iff its uniform is >= 1 - P_bad of its kind
+            k |= uniforms[:g] >= np.repeat(p_good[first:last].ravel(), counts)
+
+    n = g = first = 0
     for i in range(n_aircraft):
         t_rng = traffic_rng(config.seed, i)
         times = [_NO_PACKETS if kind is None else emission_times(kind, config.duration_s, t_rng)
                  for kind in draws]
         n_times = [t.size for t in times]
-        generated.extend(n_times)
+        generated[i] = n_times
         if audible[i]:
             m = sum(n_times)
             if m > capacity:
@@ -262,24 +292,23 @@ def run(config: ScenarioConfig) -> RunReport:
                     f"aircraft {i} emitted {m} packets, above its bound of {capacity}: "
                     "traffic.max_emissions summed over the enabled kinds"
                 )
-            t = np.concatenate(times, out=seconds[:m])
-            t *= 1e9
-            k = key[n : n + m]
-            np.rint(t, out=k, casting="unsafe")
-            k <<= s
-            k |= np.repeat(kind_code + i * (2 * _N_KINDS), n_times)
-            if errors_on:
-                # one uniform per packet, in kind order: a packet is bad iff
-                # its uniform is >= 1 - P_bad of its kind
-                k |= channel_rng(config.seed, i).random(m) >= np.repeat(p_good[i], n_times)
+            if g + m > room:
+                write_keys(first, i, n, g)
+                n, g, first = n + g, 0, i
             if i == tracked:
-                first = sum(n_times[:pos])
-                tracked_keys = k[first : first + n_times[pos]].copy()
-            del k
-            n += m
+                start = n + g + sum(n_times[:pos])
+                tracked_slots = slice(start, start + n_times[pos])
+            np.concatenate(times, out=seconds[g : g + m])
+            if errors_on:
+                # one uniform per packet, in kind order
+                channel_rng(config.seed, i).random(out=uniforms[g : g + m])
+            g += m
+    write_keys(first, n_aircraft, n, g)
+    n += g
+    del seconds, uniforms
+    tracked_keys = key[tracked_slots].copy()
     # give back the slots no packet took; no view of the buffer is left
     key.resize(n, refcheck=False)
-    generated = np.array(generated, dtype=np.int64).reshape(n_aircraft, _N_KINDS)
     key.sort()
     tracked_at = key.searchsorted(tracked_keys)
 

@@ -2,8 +2,9 @@
 equivalence with a per-packet reference, property tests over small configs
 (JSON and CSV agreement included), zero-packet runs, replication
 summaries, the width of the packed sort keys, the per-packet memory
-budget, the packet buffer's capacity check and the chunked collision
-resolve with its near-packet path for sparse chunks."""
+budget, the packet buffer's capacity check, the chunked collision
+resolve with its near-packet path for sparse chunks and the groups of
+aircraft whose keys are written together."""
 
 import hashlib
 import json
@@ -13,7 +14,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from sim1090 import engine
@@ -352,10 +353,14 @@ class TestMemoryBudget:
         return (peak - before) / report.generated_total
 
     def test_traced_peak_per_packet(self):
-        # a fig7 run resolves chunks of about _CHUNK packets and peaks with
-        # its packet keys and one chunk's temporaries: 11.30 traced bytes per
-        # packet here (11.74 while the starts were drawn into a float64
-        # buffer, 27.98 before the chunked resolve)
+        # a fig7 run peaks with its packet keys, beside the key scratch and
+        # one key group's temporaries before the buffer gives back its free
+        # slots, or beside one resolve chunk's temporaries after: 11.98
+        # traced bytes per packet here, in the draw loop (13.64 with a
+        # _KEY_GROUP of 32 K slots, 11.25 with 8 K, where the resolve is the
+        # peak; 11.30 while each aircraft wrote its own keys, 11.74 while the
+        # starts were drawn into a float64 buffer, 27.98 before the chunked
+        # resolve)
         cfg = load_preset("fig7.scn").with_overrides(duration_s=100.0, seed=3)
         assert self.traced_peak_per_packet(cfg) <= 16.0
 
@@ -364,7 +369,7 @@ class TestMemoryBudget:
         # as long as the run. It peaks inside collision_mask with the packet
         # keys, 8 bytes per packet of uint16 low codes and emitters and int32
         # durations, and the temporaries of the many packets that continue a
-        # cluster: 42.9 traced bytes per packet here (615,156 packets)
+        # cluster: 42.87 traced bytes per packet here (615,156 packets)
         monkeypatch.setattr(engine, "_CHUNK", MAX_PACKETS)
         assert self.traced_peak_per_packet(ScenarioConfig(n_planes=3000, duration_s=20.0, seed=1)) <= 48.0
 
@@ -790,6 +795,67 @@ class TestChunkedResolve:
         gap = np.flatnonzero(np.diff(key >> s) >= engine._LONGEST_NS) + 1
         later = gap[gap >= b]
         assert engine._cluster_free_cut(key, s, b) == (int(later[0]) if later.size else key.size)
+
+
+@st.composite
+def key_group_configs(draw):
+    """small_configs, some stretched to a horizon at which one aircraft's
+    packet bound is a third of the default key group (a few aircraft to a
+    group) or above it (one aircraft to a group)."""
+    cfg = draw(small_configs())
+    share = draw(st.sampled_from([None, 0.3, 1.1]))
+    if share is None:
+        return cfg
+    per_second = sum(1 / SCHEDULES[k].jitter_lo_s for k in cfg.enabled_kinds)
+    return cfg.with_overrides(duration_s=share * engine._KEY_GROUP / per_second)
+
+
+#: six planes and two UAVs of about 5,200 packets each. With channel errors
+#: on, aircraft 1 and 3 are gated, and at the default key group aircraft 0-4
+#: (audible 0, 2 and 4) share the first group and 5-7 the second; with them
+#: off, aircraft 0-2 share the first
+MIXED_FLEET = ScenarioConfig(
+    n_planes=6, n_uavs=2, duration_s=500.0, seed=71, plane_radius_km=400.0, noise_floor_dbm=-80.0, tracked_aircraft=1,
+)
+#: three planes whose packet bound, 18,379 over the six kinds, is above the
+#: default key group
+LONG_HORIZON = ScenarioConfig(n_planes=3, duration_s=1400.0, seed=1, tracked_aircraft=1)
+
+
+class TestKeyGroups:
+    """run() writes the keys of each run of consecutive aircraft together,
+    from scratch buffers of max(_KEY_GROUP, capacity) slots. The group size
+    never moves a report byte."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(cfg=key_group_configs())
+    @example(cfg=MIXED_FLEET)
+    @example(cfg=MIXED_FLEET.with_overrides(tracked_aircraft=4))
+    @example(cfg=MIXED_FLEET.with_overrides(tracked_aircraft=7))
+    @example(cfg=MIXED_FLEET.with_overrides(channel_errors_enabled=False, tracked_aircraft=2))
+    @example(cfg=LONG_HORIZON)
+    def test_group_size_keeps_report_bytes(self, cfg):
+        # 1 writes each aircraft alone and MAX_PACKETS all in one group
+        reports = []
+        for group in (1, engine._KEY_GROUP, MAX_PACKETS):
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(engine, "_KEY_GROUP", group)
+                reports.append(run(cfg).to_json_bytes())
+        assert reports[0] == reports[1] == reports[2]
+
+    def test_examples_reach_the_group_edges(self):
+        report = run(MIXED_FLEET)
+        gated = report.counts[:, :, Verdict.LOST_BELOW_SENSITIVITY].sum(axis=1) > 0
+        assert gated.tolist() == [False, True, False, True, False, False, False, False]
+        # the tracked aircraft 4 (2 with channel errors off) is the last to
+        # fit in the first group
+        generated = report.counts.sum(axis=(1, 2))
+        drawn = np.cumsum(generated * ~gated)
+        assert drawn[4] <= engine._KEY_GROUP < drawn[5]
+        drawn = np.cumsum(run(MIXED_FLEET.with_overrides(channel_errors_enabled=False)).counts.sum(axis=(1, 2)))
+        assert drawn[2] <= engine._KEY_GROUP < drawn[3]
+        capacity = sum(max_emissions(k, LONG_HORIZON.duration_s) for k in LONG_HORIZON.enabled_kinds)
+        assert capacity > engine._KEY_GROUP
 
 
 def rendered(value) -> str:
