@@ -10,15 +10,15 @@ Every packet that reaches the receiver has one int64 key in a preallocated
 buffer. No gap between two packets of a kind is shorter than its
 ``jitter_lo_s``, so ``traffic.max_emissions`` bounds an aircraft's packets
 of each enabled kind, and the buffer holds that many per audible aircraft.
-Each audible aircraft draws its starts, and with channel errors on one
-channel uniform per packet, into two scratch buffers of ``max(_KEY_GROUP,
-bound)`` slots; an aircraft that draws more than its bound raises before it
-draws from its channel stream. Before the next aircraft would overflow the
-scratch, the keys of the run of consecutive aircraft drawn into it are
-written together, each once, by a few array passes whose fixed cost its
-aircraft share. A gated aircraft takes no slot. Once every aircraft has drawn,
-both scratch buffers are deleted and the key buffer gives back the slots no
-packet took.
+The aircraft draw in fixed groups of ``max(1, _KEY_GROUP // bound)``. Each
+audible aircraft draws its starts in seconds straight into its key slots,
+as float64 over the same memory, and with channel errors on one channel
+uniform per packet into one scratch buffer of a group's slots; an aircraft
+that draws more than its bound raises before it draws from its channel
+stream. At the end of each group its keys are finished in place, each once,
+by a few array passes whose fixed cost its aircraft share. A gated aircraft
+takes no slot. Once every aircraft has drawn, the scratch is deleted and the
+key buffer gives back the slots no packet took.
 
 Time is kept in whole nanoseconds: each start is rounded to nearest,
 ``np.rint(t * 1e9)``, and the on-air lengths (64 and 120 us) are whole
@@ -65,10 +65,13 @@ are those of the whole chunk. Measured at seeds 1-3: the ``fig3_50`` fleets
 of 25-200 planes (the density sweep) space their starts 151-19 longest
 on-air times apart, with 1.2-10 % of packets near (7.2 % over the sweep);
 ``fig4`` and ``fig5`` 4.0 apart with 39 % near, ``fig6`` 3.7 and 42 %,
-``fig7`` 3.3 and 45 %. On a 32 K-packet chunk of Poisson starts the
-near-only resolve costs about what the whole one does at 4, and is about
-1.3 times faster at 8 and 1.6 at 19; 8 keeps the paper's dense fleets,
-near that break-even, on the whole path.
+``fig7`` 3.3 and 45 %. Dense chunks keep the whole path for memory, not
+time: with numpy 2.4.6 on a 2-core host the near-only resolve alone is not
+slower on them (seeds 1-3 x 9 alternating passes, whole -> near-only:
+``fig7`` 17.6 -> 17.4 ms, ``fig5`` 14.6 -> 12.9 ms), but its near index and
+gathered copies lift the one-chunk dense fleet of
+tests/test_engine.py::TestMemoryBudget from 42.87 to 60.84 traced bytes
+per packet, above its bound of 48.
 
 A run is a pure function of its config (seed included): reports serialize
 to byte-identical JSON across repeated runs.
@@ -110,16 +113,17 @@ if (Verdict.RECEIVED, Verdict.LOST_COLLISION, Verdict.LOST_CORRUPTED, Verdict.LO
                       "LOST_BELOW_SENSITIVITY = 0, 1, 2, 3")
 #: least packets per collision resolve
 _CHUNK = 1 << 15
-#: least scratch slots per run of aircraft whose keys are written together.
-#: A fig7 aircraft draws about 5,200 packets, so 16 K slots hold three of
-#: them; at 8 K each fills a group alone and pays its fixed cost. A larger
-#: group raises the peak, since the scratch and the group's temporaries sit
+#: packet slots per fixed group of aircraft whose keys are finished together,
+#: max(1, _KEY_GROUP // bound) aircraft. A fig7 aircraft's bound is 6,567, so
+#: a group holds two; at 8 K each is alone and pays the group's fixed cost. A
+#: larger group raises the peak: the scratch and the group's temporaries sit
 #: beside the whole key buffer (see tests/test_engine.py::TestMemoryBudget)
 _KEY_GROUP = 1 << 14
 #: packets in the first window _cluster_free_cut scans for a gap
 _CUT_WINDOW = 256
 #: a chunk whose mean start spacing is at least this many longest on-air
-#: times resolves only its near packets (see the module docstring)
+#: times resolves only its near packets; a denser chunk keeps the whole path
+#: for its lower memory peak (see the module docstring)
 _SPARSE_SPACING = 8
 
 
@@ -248,65 +252,58 @@ def run(config: ScenarioConfig) -> RunReport:
 
     # packets are resolved in start-time order, ties in block order, by one
     # in-place sort of int64 keys tick << s | block << 1 | bad. Each audible
-    # aircraft draws its starts and channel uniforms into two scratch buffers
-    # of `room` slots, and the keys of the aircraft drawn so far are written
-    # together before the next would overflow them (see the module docstring)
+    # aircraft draws its starts in seconds into its key slots and its channel
+    # uniforms into a scratch buffer, and the keys of each group of
+    # per_group aircraft are finished together (see the module docstring)
     n_blocks = n_aircraft * _N_KINDS
     s = n_blocks.bit_length() + 1
     key = np.empty(capacity * int(audible.sum()), dtype=np.int64)
-    room = max(_KEY_GROUP, capacity)
-    seconds = np.empty(room)
-    uniforms = np.empty(room if errors_on else 0)
+    per_group = max(1, _KEY_GROUP // capacity)
+    uniforms = np.empty(per_group * capacity if errors_on else 0)
     generated = np.empty((n_aircraft, _N_KINDS), dtype=np.int64)
-    # the slots of the tracked aircraft's POS keys, found again after the sort
-    tracked = config.tracked_aircraft
-    pos = KIND_INDEX[PacketKind.POS]
-    tracked_block = tracked * _N_KINDS + pos
-    tracked_slots = slice(0)
-
-    def write_keys(first, last, n, g):
-        """Write the keys of aircraft first..last - 1, drawn into the first g
-        scratch slots, to key[n : n + g]."""
-        counts = (generated[first:last] * audible[first:last, None]).ravel()
-        t = seconds[:g]
+    n = 0
+    for first in range(0, n_aircraft, per_group):
+        last = min(first + per_group, n_aircraft)
+        g = n
+        for i in range(first, last):
+            t_rng = traffic_rng(config.seed, i)
+            times = [_NO_PACKETS if kind is None else emission_times(kind, config.duration_s, t_rng)
+                     for kind in draws]
+            n_times = [t.size for t in times]
+            generated[i] = n_times
+            if audible[i]:
+                m = sum(n_times)
+                if m > capacity:
+                    raise AssertionError(
+                        f"aircraft {i} emitted {m} packets, above its bound of {capacity}: "
+                        "traffic.max_emissions summed over the enabled kinds"
+                    )
+                np.concatenate(times, out=key.view(np.float64)[n : n + m])
+                if errors_on:
+                    # one uniform per packet, in kind order
+                    channel_rng(config.seed, i).random(out=uniforms[n - g : n - g + m])
+                n += m
+        # the group's starts become ticks in place, then take their block
+        # codes and corruption bits
+        k = key[g:n]
+        t = k.view(np.float64)
         t *= 1e9
-        k = key[n : n + g]
         np.rint(t, out=k, casting="unsafe")
         k <<= s
+        counts = (generated[first:last] * audible[first:last, None]).ravel()
         k |= np.repeat(np.arange(first * _N_KINDS, last * _N_KINDS) << 1, counts)
         if errors_on:
             # a packet is bad iff its uniform is >= 1 - P_bad of its kind
-            k |= uniforms[:g] >= np.repeat(p_good[first:last].ravel(), counts)
-
-    n = g = first = 0
-    for i in range(n_aircraft):
-        t_rng = traffic_rng(config.seed, i)
-        times = [_NO_PACKETS if kind is None else emission_times(kind, config.duration_s, t_rng)
-                 for kind in draws]
-        n_times = [t.size for t in times]
-        generated[i] = n_times
-        if audible[i]:
-            m = sum(n_times)
-            if m > capacity:
-                raise AssertionError(
-                    f"aircraft {i} emitted {m} packets, above its bound of {capacity}: "
-                    "traffic.max_emissions summed over the enabled kinds"
-                )
-            if g + m > room:
-                write_keys(first, i, n, g)
-                n, g, first = n + g, 0, i
-            if i == tracked:
-                start = n + g + sum(n_times[:pos])
-                tracked_slots = slice(start, start + n_times[pos])
-            np.concatenate(times, out=seconds[g : g + m])
-            if errors_on:
-                # one uniform per packet, in kind order
-                channel_rng(config.seed, i).random(out=uniforms[g : g + m])
-            g += m
-    write_keys(first, n_aircraft, n, g)
-    n += g
-    del seconds, uniforms
-    tracked_keys = key[tracked_slots].copy()
+            k |= uniforms[: n - g] >= np.repeat(p_good[first:last].ravel(), counts)
+    del uniforms, k, t
+    # the tracked aircraft's POS keys follow the packets of the audible
+    # aircraft before it and its own kinds before POS; a gated aircraft has
+    # none. They are found again after the sort
+    tracked = config.tracked_aircraft
+    pos = KIND_INDEX[PacketKind.POS]
+    tracked_block = tracked * _N_KINDS + pos
+    start = int((generated[:tracked] * audible[:tracked, None]).sum() + generated[tracked, :pos].sum())
+    tracked_keys = key[start : start + generated[tracked, pos] * audible[tracked]].copy()
     # give back the slots no packet took; no view of the buffer is left
     key.resize(n, refcheck=False)
     key.sort()

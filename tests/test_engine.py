@@ -353,14 +353,15 @@ class TestMemoryBudget:
         return (peak - before) / report.generated_total
 
     def test_traced_peak_per_packet(self):
-        # a fig7 run peaks with its packet keys, beside the key scratch and
-        # one key group's temporaries before the buffer gives back its free
-        # slots, or beside one resolve chunk's temporaries after: 11.98
-        # traced bytes per packet here, in the draw loop (13.64 with a
-        # _KEY_GROUP of 32 K slots, 11.25 with 8 K, where the resolve is the
-        # peak; 11.30 while each aircraft wrote its own keys, 11.74 while the
-        # starts were drawn into a float64 buffer, 27.98 before the chunked
-        # resolve)
+        # a fig7 run peaks with its packet keys, beside the uniform scratch
+        # and one key group's temporaries before the buffer gives back its
+        # free slots, or beside one resolve chunk's temporaries after: 11.33
+        # traced bytes per packet here, in the draw loop (11.98 while the
+        # starts were drawn into a scratch of their own, 13.64 with that
+        # scratch at a _KEY_GROUP of 32 K slots and 11.25 at 8 K, where the
+        # resolve was the peak; 11.30 while each aircraft wrote its own keys,
+        # 11.74 while the starts were drawn into a run-sized float64 buffer,
+        # 27.98 before the chunked resolve)
         cfg = load_preset("fig7.scn").with_overrides(duration_s=100.0, seed=3)
         assert self.traced_peak_per_packet(cfg) <= 16.0
 
@@ -369,7 +370,8 @@ class TestMemoryBudget:
         # as long as the run. It peaks inside collision_mask with the packet
         # keys, 8 bytes per packet of uint16 low codes and emitters and int32
         # durations, and the temporaries of the many packets that continue a
-        # cluster: 42.87 traced bytes per packet here (615,156 packets)
+        # cluster: 42.87 traced bytes per packet here (615,156 packets; 60.84
+        # with the chunk forced onto the near-only resolve)
         monkeypatch.setattr(engine, "_CHUNK", MAX_PACKETS)
         assert self.traced_peak_per_packet(ScenarioConfig(n_planes=3000, duration_s=20.0, seed=1)) <= 48.0
 
@@ -810,52 +812,62 @@ def key_group_configs(draw):
     return cfg.with_overrides(duration_s=share * engine._KEY_GROUP / per_second)
 
 
-#: six planes and two UAVs of about 5,200 packets each. With channel errors
-#: on, aircraft 1 and 3 are gated, and at the default key group aircraft 0-4
-#: (audible 0, 2 and 4) share the first group and 5-7 the second; with them
-#: off, aircraft 0-2 share the first
+#: six planes and two UAVs of about 5,200 packets each, whose packet bound
+#: over the six kinds, 6,567, puts two aircraft in each default key group:
+#: 0-1, 2-3, 4-5 and 6-7. With channel errors on, aircraft 1 and 3 are
+#: gated, each the last in its group; the tracked aircraft 1 is gated
 MIXED_FLEET = ScenarioConfig(
     n_planes=6, n_uavs=2, duration_s=500.0, seed=71, plane_radius_km=400.0, noise_floor_dbm=-80.0, tracked_aircraft=1,
 )
+#: the same fleet over 400 s, whose bound, 5,254, puts three aircraft in a
+#: group, so the last group, 6-7, is partial; aircraft 7 is tracked
+PARTIAL_GROUP = MIXED_FLEET.with_overrides(duration_s=400.0, tracked_aircraft=7)
 #: three planes whose packet bound, 18,379 over the six kinds, is above the
-#: default key group
+#: default key group, so each is a group alone
 LONG_HORIZON = ScenarioConfig(n_planes=3, duration_s=1400.0, seed=1, tracked_aircraft=1)
 
 
+def packet_bound(cfg):
+    return sum(max_emissions(k, cfg.duration_s) for k in cfg.enabled_kinds)
+
+
 class TestKeyGroups:
-    """run() writes the keys of each run of consecutive aircraft together,
-    from scratch buffers of max(_KEY_GROUP, capacity) slots. The group size
-    never moves a report byte."""
+    """run() draws the aircraft in fixed groups of max(1, _KEY_GROUP // bound)
+    and finishes each group's keys together. The group size never moves a
+    report byte, and the tracked POS flags are the tracked aircraft's own."""
 
     @settings(max_examples=30, deadline=None)
     @given(cfg=key_group_configs())
     @example(cfg=MIXED_FLEET)
+    # tracked first in its group, after the gated aircraft 3
     @example(cfg=MIXED_FLEET.with_overrides(tracked_aircraft=4))
-    @example(cfg=MIXED_FLEET.with_overrides(tracked_aircraft=7))
+    # tracked first in its group, after the audible aircraft 1
     @example(cfg=MIXED_FLEET.with_overrides(channel_errors_enabled=False, tracked_aircraft=2))
+    @example(cfg=PARTIAL_GROUP)
     @example(cfg=LONG_HORIZON)
     def test_group_size_keeps_report_bytes(self, cfg):
-        # 1 writes each aircraft alone and MAX_PACKETS all in one group
+        # 1 puts each aircraft in a group alone and MAX_PACKETS all in one
         reports = []
         for group in (1, engine._KEY_GROUP, MAX_PACKETS):
             with pytest.MonkeyPatch.context() as mp:
                 mp.setattr(engine, "_KEY_GROUP", group)
-                reports.append(run(cfg).to_json_bytes())
-        assert reports[0] == reports[1] == reports[2]
+                reports.append(run(cfg))
+        assert reports[0].to_json_bytes() == reports[1].to_json_bytes() == reports[2].to_json_bytes()
+        # the flags are read from the tracked slots whatever the group size:
+        # they must agree with the tracked aircraft's tally row
+        flags = reports[1].tracked_pos_lost
+        tally = reports[1].counts[cfg.tracked_aircraft, KIND_INDEX[PacketKind.POS]]
+        assert flags.size == tally.sum()
+        assert flags.sum() == tally.sum() - tally[Verdict.RECEIVED]
 
     def test_examples_reach_the_group_edges(self):
-        report = run(MIXED_FLEET)
-        gated = report.counts[:, :, Verdict.LOST_BELOW_SENSITIVITY].sum(axis=1) > 0
-        assert gated.tolist() == [False, True, False, True, False, False, False, False]
-        # the tracked aircraft 4 (2 with channel errors off) is the last to
-        # fit in the first group
-        generated = report.counts.sum(axis=(1, 2))
-        drawn = np.cumsum(generated * ~gated)
-        assert drawn[4] <= engine._KEY_GROUP < drawn[5]
-        drawn = np.cumsum(run(MIXED_FLEET.with_overrides(channel_errors_enabled=False)).counts.sum(axis=(1, 2)))
-        assert drawn[2] <= engine._KEY_GROUP < drawn[3]
-        capacity = sum(max_emissions(k, LONG_HORIZON.duration_s) for k in LONG_HORIZON.enabled_kinds)
-        assert capacity > engine._KEY_GROUP
+        assert engine._KEY_GROUP // packet_bound(MIXED_FLEET) == 2
+        assert engine._KEY_GROUP // packet_bound(PARTIAL_GROUP) == 3
+        assert (PARTIAL_GROUP.n_planes + PARTIAL_GROUP.n_uavs) % 3 == 2
+        assert packet_bound(LONG_HORIZON) > engine._KEY_GROUP
+        for cfg in (MIXED_FLEET, PARTIAL_GROUP):
+            gated = run(cfg).counts[:, :, Verdict.LOST_BELOW_SENSITIVITY].sum(axis=1) > 0
+            assert gated.tolist() == [False, True, False, True, False, False, False, False]
 
 
 def rendered(value) -> str:

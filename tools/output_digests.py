@@ -22,9 +22,12 @@ The outputs are:
 - ``run`` JSON of a collision-only fleet of 150 planes that send only the
   slow kinds AOS, ID and TSS for 30 s (``run-slow-kinds.json``);
 - ``run`` JSON of fig3_50 with 40 planes (``run-fig3_50-40planes.json``),
-  the only run report of a fleet small enough for one-byte block indices.
+  the only run report of a fleet small enough for one-byte block indices;
+- ``run`` JSON of four gated planes and two UAVs over 1,300 s
+  (``run-long-horizon.json``), the only output whose aircraft packet bound
+  is above the engine's key group, so each aircraft is a group alone.
 
-The scenario files of the last four items are written to the temporary
+The scenario files of the last five items are written to the temporary
 directory.
 
 Usage, from the root of a source checkout::
@@ -81,6 +84,17 @@ enabled_kinds = POS,ID
 channel_errors_enabled = false
 seed = 1
 """
+#: an aircraft's packet bound over the six kinds is 17,066 at 1,300 s, above
+#: the engine's 16,384-slot key group (every preset at 500 s is at most
+#: 6,567). At -78 dBm the four planes are gated and the UAVs are not; the
+#: tracked UAV's POS keys follow the other UAV's packets
+LONG_HORIZON = """n_planes = 4
+n_uavs = 2
+sensitivity_dbm = -78
+duration_s = 1300
+seed = 3
+tracked_aircraft = 5
+"""
 
 
 def cli_output(argv: list[str], out: Path | None = None) -> bytes:
@@ -120,7 +134,8 @@ def outputs(tmp: Path):
         path = tmp / f"fig6-{name}.scn"
         path.write_text(f"{fig6}{extra}", encoding="utf-8")
         yield f"run-fig6-{name}.json", cli_output(["run", "--scenario", str(path)])
-    for name, text in (("slow-kinds", SLOW_KINDS), ("fig3_50-40planes", FIG3_40_PLANES)):
+    for name, text in (("slow-kinds", SLOW_KINDS), ("fig3_50-40planes", FIG3_40_PLANES),
+                       ("long-horizon", LONG_HORIZON)):
         path = tmp / f"{name}.scn"
         path.write_text(text, encoding="utf-8")
         yield f"run-{name}.json", cli_output(["run", "--scenario", str(path)])
